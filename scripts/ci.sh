@@ -26,12 +26,11 @@ cmake -B "$ROOT/build-asan" -S "$ROOT" \
 cmake --build "$ROOT/build-asan" -j "$JOBS"
 (cd "$ROOT/build-asan" && ctest --output-on-failure -j "$JOBS")
 
-echo "== ThreadSanitizer: portfolio + thread pool + txn effector =="
+echo "== ThreadSanitizer: portfolio + txn effector =="
 cmake -B "$ROOT/build-tsan" -S "$ROOT" -DDIF_SANITIZE=thread
 cmake --build "$ROOT/build-tsan" -j "$JOBS" \
-  --target test_portfolio test_thread_pool_scaffold test_txn_redeploy
+  --target test_portfolio test_txn_redeploy
 "$ROOT/build-tsan/tests/test_portfolio"
-"$ROOT/build-tsan/tests/test_thread_pool_scaffold"
 "$ROOT/build-tsan/tests/test_txn_redeploy"
 
 echo "== static check round trip: generate | check =="
@@ -321,8 +320,10 @@ echo "== bench gate: fleet-scale scalability scorecard =="
 # Pinned throughput gates collapse-only at 0.5x: on this container identical
 # binaries measure 60-97% of their committed baselines depending on machine
 # load (see the analyzer gate's control experiment), so a 0.9 bar flakes on
-# environment, not code. The deterministic assertion — warm re-optimization
-# beating the cold rerun on evaluations spent — carries the regression gate.
+# environment, not code. The deterministic assertions carry the regression
+# gate: every reopt.* figure (settle, warm and cold reruns all run under
+# evaluation caps) must equal the baseline exactly, and warm re-optimization
+# must beat the cold rerun on evaluations spent.
 if command -v python3 >/dev/null 2>&1 && [ -f "$ROOT/BENCH_scalability.json" ]; then
   "$ROOT/build/bench/bench_scalability" --iters 3 \
     --json "$ROOT/build/ci_bench_scalability.json" > /dev/null 2>&1
@@ -341,6 +342,14 @@ for name in baseline["pinned"]:
     if new < 0.5 * old:
         failed.append(name)
 assert not failed, f"throughput collapsed below 0.5x baseline on: {failed}"
+reopt = sorted(k for k in baseline["metrics"] if k.startswith("reopt."))
+assert reopt, "baseline carries no reopt.* metrics"
+drifted = [k for k in reopt
+           if current["metrics"][k]["value"] != baseline["metrics"][k]["value"]]
+for name in drifted:
+    print(f"{name}: baseline {baseline['metrics'][name]['value']!r}, "
+          f"current {current['metrics'][name]['value']!r}")
+assert not drifted, f"deterministic reopt metrics drifted: {drifted}"
 warm = current["metrics"]["reopt.warm_evaluations"]["value"]
 cold = current["metrics"]["reopt.cold_evaluations"]["value"]
 print(f"reopt: warm {warm:.0f} evals vs cold {cold:.0f} evals")

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
-#include "algo/pairwise.h"
 #include "algo/random_feasible.h"
+#include "model/incremental.h"
 
 namespace dif::algo {
 
@@ -59,33 +59,6 @@ double AwarenessGraph::density() const {
       if (adj_[a * k_ + b]) ++edges;
   return static_cast<double>(edges) / (static_cast<double>(k_) * (k_ - 1) / 2);
 }
-
-namespace {
-
-/// Per-interaction utility as seen by a bidder: positive is better. Falls
-/// back to availability semantics (freq * reliability) for objectives that
-/// do not decompose pairwise.
-class BidValuer {
- public:
-  BidValuer(const model::DeploymentModel& m, const model::Objective& objective)
-      : model_(m), view_(PairwiseObjectiveView::try_create(objective, m)) {}
-
-  [[nodiscard]] double term(std::size_t interaction_index, model::HostId ha,
-                            model::HostId hb) const {
-    if (view_) {
-      const double t = view_->pair_term(interaction_index, ha, hb);
-      return view_->direction() == model::Direction::kMaximize ? t : -t;
-    }
-    const model::Interaction& ix = model_.interactions()[interaction_index];
-    return ix.frequency * model_.physical_link(ha, hb).reliability;
-  }
-
- private:
-  const model::DeploymentModel& model_;
-  std::optional<PairwiseObjectiveView> view_;
-};
-
-}  // namespace
 
 AlgoResult DecApAlgorithm::run(const model::DeploymentModel& model,
                                const model::Objective& objective,
@@ -146,7 +119,10 @@ AlgoResult DecApAlgorithm::run(const model::DeploymentModel& model,
     ix_of_group[gb].push_back(index);
   }
 
-  const BidValuer valuer(model, objective);
+  // Bids sum the objective's per-interaction utility; objectives that do not
+  // decompose pairwise are bid on with availability semantics.
+  const model::PairwiseDecomposition valuer =
+      model::PairwiseDecomposition::or_availability(objective, model);
 
   // A bidder `bidder` values hosting group `g` on itself: it sums utility
   // terms for g's interactions whose partner sits on a host the bidder is
@@ -160,7 +136,7 @@ AlgoResult DecApAlgorithm::run(const model::DeploymentModel& model,
                                             : groups.group_of[ix.a];
       const model::HostId partner_host = state.host_of_group(other_group);
       if (!awareness.aware(bidder, partner_host)) continue;
-      bid += valuer.term(index, bidder, partner_host);
+      bid += valuer.utility(ix, bidder, partner_host);
     }
     return bid;
   };

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
-#include "algo/pairwise.h"
 #include "algo/random_feasible.h"
+#include "model/incremental.h"
 
 namespace dif::algo {
 
@@ -23,10 +23,10 @@ class ExactSearch {
         groups_(ColocationGroups::build(model, checker.constraint_set())),
         state_(model, checker, groups_),
         search_(model, objective, options) {
-    view_ = use_pruning ? PairwiseObjectiveView::try_create(objective, model)
-                        : std::nullopt;
+    if (use_pruning)
+      terms_ = model::PairwiseDecomposition::try_create(objective, model);
     build_order();
-    if (view_) build_decomposition();
+    if (terms_) build_decomposition();
   }
 
   [[nodiscard]] bool contradictory() const { return groups_.contradictory; }
@@ -63,13 +63,11 @@ class ExactSearch {
     const std::size_t g_count = groups_.group_count();
     by_decision_depth_.assign(g_count, {});
     const auto interactions = model_.interactions();
-    double total_optimistic = 0.0;
     for (std::size_t index = 0; index < interactions.size(); ++index) {
       const model::Interaction& ix = interactions[index];
       const std::size_t pa = position_[groups_.group_of[ix.a]];
       const std::size_t pb = position_[groups_.group_of[ix.b]];
       by_decision_depth_[std::max(pa, pb)].push_back(index);
-      total_optimistic += view_->optimistic_term(index);
     }
     // optimistic_after_[d]: best possible contribution of every interaction
     // decided at depth >= d.
@@ -77,7 +75,7 @@ class ExactSearch {
     double suffix = 0.0;
     for (std::size_t d = g_count; d-- > 0;) {
       for (const std::size_t index : by_decision_depth_[d])
-        suffix += view_->optimistic_term(index);
+        suffix += terms_->optimistic_term(interactions[index]);
       optimistic_after_[d] = suffix;
     }
   }
@@ -91,7 +89,7 @@ class ExactSearch {
       const model::Interaction& ix = interactions[index];
       const model::HostId ha = state_.host_of_group(groups_.group_of[ix.a]);
       const model::HostId hb = state_.host_of_group(groups_.group_of[ix.b]);
-      delta += view_->pair_term(index, ha, hb);
+      delta += terms_->pair_term(ix, ha, hb);
     }
     return delta;
   }
@@ -100,7 +98,7 @@ class ExactSearch {
                               double partial_sum) const {
     if (!have_best_sum_) return false;
     const double bound = partial_sum + optimistic_after_[next_depth];
-    return view_->direction() == model::Direction::kMaximize
+    return terms_->direction() == model::Direction::kMaximize
                ? bound <= best_sum_
                : bound >= best_sum_;
   }
@@ -110,11 +108,11 @@ class ExactSearch {
     ++nodes_;
     if (depth == groups_.group_count()) {
       const model::Deployment d = state_.to_deployment();
-      if (view_) {
-        search_.consider_value(d, view_->finalize(partial_sum));
+      if (terms_) {
+        search_.consider_value(d, terms_->finalize(partial_sum));
         const bool better =
             !have_best_sum_ ||
-            (view_->direction() == model::Direction::kMaximize
+            (terms_->direction() == model::Direction::kMaximize
                  ? partial_sum > best_sum_
                  : partial_sum < best_sum_);
         if (better) {
@@ -134,7 +132,7 @@ class ExactSearch {
       state_.place(g, host);
       double next_sum = partial_sum;
       bool prune = false;
-      if (view_) {
+      if (terms_) {
         next_sum += decided_delta(depth);
         if (prunable(depth + 1, next_sum)) {
           prune = true;
@@ -152,7 +150,7 @@ class ExactSearch {
   ColocationGroups groups_;
   PlacementState state_;
   SearchState search_;
-  std::optional<PairwiseObjectiveView> view_;
+  std::optional<model::PairwiseDecomposition> terms_;
 
   std::vector<std::uint32_t> order_;     // depth -> group
   std::vector<std::size_t> position_;    // group -> depth

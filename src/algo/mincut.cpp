@@ -4,6 +4,8 @@
 #include <limits>
 #include <queue>
 
+#include "model/interaction_term.h"
+
 namespace dif::algo {
 
 namespace {
@@ -128,9 +130,10 @@ AlgoResult MinCutPartitioner::run(const model::DeploymentModel& model,
   for (const model::Interaction& ix : model.interactions()) {
     const double cost =
         link.bandwidth > 0.0
-            ? ix.frequency *
-                  (link.delay_ms + 1000.0 * ix.avg_event_size / link.bandwidth)
-            : ix.frequency * ix.avg_event_size;
+            ? model::interaction_term<model::TermKind::kLatency>(
+                  model, ix.frequency, ix.avg_event_size, 0, 1)
+            : model::interaction_term<model::TermKind::kCommCost>(
+                  model, ix.frequency, ix.avg_event_size, 0, 1);
     dinic.add_edge(ix.a, ix.b, cost);
     dinic.add_edge(ix.b, ix.a, cost);
   }

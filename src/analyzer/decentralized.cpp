@@ -1,7 +1,5 @@
 #include "analyzer/decentralized.h"
 
-#include "algo/pairwise.h"
-
 namespace dif::analyzer {
 
 bool VotingProtocol::decide(std::size_t host_count,
@@ -25,26 +23,18 @@ bool PollingProtocol::decide(std::size_t host_count,
 }
 
 double local_utility(const model::DeploymentModel& m,
-                     const model::Objective& objective,
+                     const model::PairwiseDecomposition& terms,
                      const model::Deployment& d,
                      const algo::AwarenessGraph& awareness,
                      model::HostId host) {
-  const auto view = algo::PairwiseObjectiveView::try_create(objective, m);
   double total = 0.0;
-  const auto interactions = m.interactions();
-  for (std::size_t index = 0; index < interactions.size(); ++index) {
-    const model::Interaction& ix = interactions[index];
+  for (const model::Interaction& ix : m.interactions()) {
     const model::HostId ha = d.host_of(ix.a), hb = d.host_of(ix.b);
     if (ha == model::kNoHost || hb == model::kNoHost) continue;
     if (ha != host && hb != host) continue;
     const model::HostId partner = ha == host ? hb : ha;
     if (!awareness.aware(host, partner)) continue;
-    if (view) {
-      const double term = view->pair_term(index, ha, hb);
-      total += view->direction() == model::Direction::kMaximize ? term : -term;
-    } else {
-      total += ix.frequency * m.physical_link(ha, hb).reliability;
-    }
+    total += terms.utility(ix, ha, hb);
   }
   return total;
 }
@@ -76,9 +66,11 @@ Decision DecentralizedAnalyzer::analyze(const model::DeploymentModel& m,
     return decision;
   }
 
+  const model::PairwiseDecomposition terms =
+      model::PairwiseDecomposition::or_availability(objective, m);
   const LocalUtility delta = [&](model::HostId host) {
-    return local_utility(m, objective, result.deployment, awareness, host) -
-           local_utility(m, objective, current, awareness, host);
+    return local_utility(m, terms, result.deployment, awareness, host) -
+           local_utility(m, terms, current, awareness, host);
   };
 
   bool accepted = false;

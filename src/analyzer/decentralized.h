@@ -15,6 +15,7 @@
 #include "algo/decap.h"
 #include "analyzer/centralized.h"
 #include "model/constraints.h"
+#include "model/incremental.h"
 #include "model/objective.h"
 
 namespace dif::analyzer {
@@ -91,11 +92,12 @@ class DecentralizedAnalyzer {
   Config config_;
 };
 
-/// A host's local utility under `objective`: the summed per-interaction
-/// score of interactions touching components on `host`, computed only over
-/// partners on hosts it is aware of. Shared by the analyzer and tests.
+/// A host's local utility: the summed per-interaction utility under `terms`
+/// (see PairwiseDecomposition::or_availability) of interactions touching
+/// components on `host`, computed only over partners on hosts it is aware
+/// of. Shared by the analyzer and tests.
 [[nodiscard]] double local_utility(const model::DeploymentModel& m,
-                                   const model::Objective& objective,
+                                   const model::PairwiseDecomposition& terms,
                                    const model::Deployment& d,
                                    const algo::AwarenessGraph& awareness,
                                    model::HostId host);

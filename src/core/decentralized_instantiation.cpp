@@ -3,9 +3,12 @@
 #include <numeric>
 
 #include "desi/xadl.h"
+#include "model/interaction_term.h"
 #include "util/rng.h"
 
 namespace dif::core {
+
+using model::TermKind;
 
 std::string model_sync_name(model::HostId host) {
   return "__modelsync@" + std::to_string(host);
@@ -267,8 +270,8 @@ double DecentralizedInstantiation::bid(model::HostId bidder,
     // Awareness: a host only reasons about hosts it is connected to.
     if (*partner_host != bidder && !lm.connected(bidder, *partner_host))
       continue;
-    utility += ix.frequency *
-               lm.physical_link(bidder, *partner_host).reliability;
+    utility += model::interaction_term<TermKind::kAvailability>(
+        lm, ix.frequency, ix.avg_event_size, bidder, *partner_host);
   }
   return utility;
 }
@@ -287,10 +290,10 @@ double DecentralizedInstantiation::voter_delta(model::HostId voter,
     if (ix.a != component && ix.b != component) continue;
     const model::ComponentId partner = ix.a == component ? ix.b : ix.a;
     if (!arch.find_component(lm.component(partner).name)) continue;
-    const double before =
-        lm.physical_link(from, voter).reliability * ix.frequency;
-    const double after =
-        lm.physical_link(to, voter).reliability * ix.frequency;
+    const double before = model::interaction_term<TermKind::kAvailability>(
+        lm, ix.frequency, ix.avg_event_size, from, voter);
+    const double after = model::interaction_term<TermKind::kAvailability>(
+        lm, ix.frequency, ix.avg_event_size, to, voter);
     delta += after - before;
   }
   return delta;

@@ -7,24 +7,30 @@ namespace dif::model {
 std::optional<PairwiseDecomposition> PairwiseDecomposition::try_create(
     const Objective& objective, const DeploymentModel& m) {
   if (dynamic_cast<const AvailabilityObjective*>(&objective))
-    return PairwiseDecomposition(Kind::kAvailability, m, 0.0, 1.0);
+    return PairwiseDecomposition(TermKind::kAvailability, m, 0.0, 1.0);
   if (const auto* latency = dynamic_cast<const LatencyObjective*>(&objective))
-    return PairwiseDecomposition(Kind::kLatency, m,
+    return PairwiseDecomposition(TermKind::kLatency, m,
                                  latency->disconnected_penalty_ms(),
                                  latency->reference_scale());
   if (const auto* comm =
           dynamic_cast<const CommunicationCostObjective*>(&objective))
-    return PairwiseDecomposition(Kind::kCommCost, m, 0.0,
+    return PairwiseDecomposition(TermKind::kCommCost, m, 0.0,
                                  comm->reference_scale());
   return std::nullopt;
 }
 
-PairwiseDecomposition::PairwiseDecomposition(Kind kind,
+PairwiseDecomposition PairwiseDecomposition::or_availability(
+    const Objective& objective, const DeploymentModel& m) {
+  if (auto decomposition = try_create(objective, m)) return *decomposition;
+  return PairwiseDecomposition(TermKind::kAvailability, m, 0.0, 1.0);
+}
+
+PairwiseDecomposition::PairwiseDecomposition(TermKind kind,
                                              const DeploymentModel& m,
                                              double penalty_ms, double scale)
     : kind_(kind),
-      direction_(kind == Kind::kAvailability ? Direction::kMaximize
-                                             : Direction::kMinimize),
+      direction_(kind == TermKind::kAvailability ? Direction::kMaximize
+                                                 : Direction::kMinimize),
       model_(&m),
       penalty_ms_(penalty_ms),
       scale_(scale),
@@ -32,57 +38,33 @@ PairwiseDecomposition::PairwiseDecomposition(Kind kind,
 
 double PairwiseDecomposition::pair_term(const Interaction& ix, HostId ha,
                                         HostId hb) const {
-  const bool unassigned = ha == kNoHost || hb == kNoHost;
   switch (kind_) {
-    case Kind::kAvailability:
-      if (unassigned) return 0.0;  // unassigned: unavailable
-      return ix.frequency * model_->physical_link(ha, hb).reliability;
-    case Kind::kLatency: {
-      if (unassigned) return ix.frequency * penalty_ms_;
-      if (ha == hb) return 0.0;
-      const PhysicalLink& link = model_->physical_link(ha, hb);
-      if (link.bandwidth <= 0.0) return ix.frequency * penalty_ms_;
-      return ix.frequency *
-             (link.delay_ms + 1000.0 * ix.avg_event_size / link.bandwidth);
-    }
-    case Kind::kCommCost:
-      return (unassigned || ha != hb) ? ix.frequency * ix.avg_event_size : 0.0;
+    case TermKind::kAvailability:
+      return interaction_term<TermKind::kAvailability>(
+          *model_, ix.frequency, ix.avg_event_size, ha, hb);
+    case TermKind::kLatency:
+      return interaction_term<TermKind::kLatency>(
+          *model_, ix.frequency, ix.avg_event_size, ha, hb, penalty_ms_);
+    case TermKind::kCommCost:
+      return interaction_term<TermKind::kCommCost>(
+          *model_, ix.frequency, ix.avg_event_size, ha, hb);
   }
   return 0.0;
 }
 
 double PairwiseDecomposition::optimistic_term(const Interaction& ix) const {
-  switch (kind_) {
-    case Kind::kAvailability:
-      // Best case: the interaction becomes local (reliability 1).
-      return ix.frequency;
-    case Kind::kLatency:
-    case Kind::kCommCost:
-      return 0.0;
-  }
-  return 0.0;
+  // Best case: the interaction becomes local (reliability 1, no cost).
+  return kind_ == TermKind::kAvailability ? ix.frequency : 0.0;
 }
 
 double PairwiseDecomposition::finalize(double term_sum) const {
-  switch (kind_) {
-    case Kind::kAvailability:
-      return total_frequency_ > 0.0 ? term_sum / total_frequency_ : 1.0;
-    case Kind::kLatency:
-    case Kind::kCommCost:
-      return term_sum;
-  }
-  return term_sum;
+  if (kind_ != TermKind::kAvailability) return term_sum;
+  return total_frequency_ > 0.0 ? term_sum / total_frequency_ : 1.0;
 }
 
 double PairwiseDecomposition::score_of(double raw_value) const {
-  switch (kind_) {
-    case Kind::kAvailability:
-      return std::clamp(raw_value, 0.0, 1.0);
-    case Kind::kLatency:
-    case Kind::kCommCost:
-      return 1.0 / (1.0 + raw_value / scale_);
-  }
-  return raw_value;
+  return kind_ == TermKind::kAvailability ? std::clamp(raw_value, 0.0, 1.0)
+                                           : cost_score(raw_value, scale_);
 }
 
 std::optional<IncrementalEvaluator> IncrementalEvaluator::try_create(
@@ -135,45 +117,27 @@ IncrementalEvaluator::IncrementalEvaluator(PairwiseDecomposition decomposition,
   }
 }
 
-template <PairwiseDecomposition::Kind kKind>
-double IncrementalEvaluator::term_of(std::uint32_t index, HostId ha,
-                                     HostId hb) const {
-  const bool unassigned = ha == kNoHost || hb == kNoHost;
-  if constexpr (kKind == PairwiseDecomposition::Kind::kAvailability) {
-    if (unassigned) return 0.0;
-    if (ha == hb) return ix_freq_[index];  // local: reliability 1
-    return ix_freq_[index] * links_.at(ha, hb).reliability;
-  } else if constexpr (kKind == PairwiseDecomposition::Kind::kLatency) {
-    if (unassigned) return ix_freq_[index] * decomposition_.penalty_ms_;
-    if (ha == hb) return 0.0;
-    const PhysicalLink& link = links_.at(ha, hb);
-    if (link.bandwidth <= 0.0)
-      return ix_freq_[index] * decomposition_.penalty_ms_;
-    return ix_freq_[index] *
-           (link.delay_ms + 1000.0 * ix_size_[index] / link.bandwidth);
-  } else {
-    return (unassigned || ha != hb) ? ix_freq_[index] * ix_size_[index] : 0.0;
-  }
-}
-
-template <PairwiseDecomposition::Kind kKind>
+template <TermKind kKind>
 void IncrementalEvaluator::reset_terms() {
   sum_ = 0.0;
   for (std::uint32_t index = 0; index < term_.size(); ++index) {
-    term_[index] =
-        term_of<kKind>(index, assignment_[ix_a_[index]],
-                       assignment_[ix_b_[index]]);
+    term_[index] = interaction_term<kKind>(
+        links_, ix_freq_[index], ix_size_[index], assignment_[ix_a_[index]],
+        assignment_[ix_b_[index]], decomposition_.penalty_ms_);
     sum_ += term_[index];
   }
 }
 
-template <PairwiseDecomposition::Kind kKind>
+template <TermKind kKind>
 void IncrementalEvaluator::apply_terms(ComponentId c, HostId h) {
   const std::uint32_t begin = adj_offsets_[c];
   const std::uint32_t end = adj_offsets_[c + 1];
   for (std::uint32_t j = begin; j < end; ++j) {
     const std::uint32_t index = adj_ix_[j];
-    const double updated = term_of<kKind>(index, h, assignment_[adj_other_[j]]);
+    const double updated =
+        interaction_term<kKind>(links_, ix_freq_[index], ix_size_[index], h,
+                                assignment_[adj_other_[j]],
+                                decomposition_.penalty_ms_);
     sum_ += updated - term_[index];
     term_[index] = updated;
   }
@@ -186,14 +150,14 @@ void IncrementalEvaluator::reset(const Deployment& d) {
   // model changes (add_host invalidates the previous view).
   links_ = model_->physical_link_table();
   switch (decomposition_.kind_) {
-    case PairwiseDecomposition::Kind::kAvailability:
-      reset_terms<PairwiseDecomposition::Kind::kAvailability>();
+    case TermKind::kAvailability:
+      reset_terms<TermKind::kAvailability>();
       break;
-    case PairwiseDecomposition::Kind::kLatency:
-      reset_terms<PairwiseDecomposition::Kind::kLatency>();
+    case TermKind::kLatency:
+      reset_terms<TermKind::kLatency>();
       break;
-    case PairwiseDecomposition::Kind::kCommCost:
-      reset_terms<PairwiseDecomposition::Kind::kCommCost>();
+    case TermKind::kCommCost:
+      reset_terms<TermKind::kCommCost>();
       break;
   }
 }
@@ -203,14 +167,14 @@ void IncrementalEvaluator::apply(ComponentId c, HostId h) {
   assignment_[c] = h;
   ++moves_;
   switch (decomposition_.kind_) {
-    case PairwiseDecomposition::Kind::kAvailability:
-      apply_terms<PairwiseDecomposition::Kind::kAvailability>(c, h);
+    case TermKind::kAvailability:
+      apply_terms<TermKind::kAvailability>(c, h);
       break;
-    case PairwiseDecomposition::Kind::kLatency:
-      apply_terms<PairwiseDecomposition::Kind::kLatency>(c, h);
+    case TermKind::kLatency:
+      apply_terms<TermKind::kLatency>(c, h);
       break;
-    case PairwiseDecomposition::Kind::kCommCost:
-      apply_terms<PairwiseDecomposition::Kind::kCommCost>(c, h);
+    case TermKind::kCommCost:
+      apply_terms<TermKind::kCommCost>(c, h);
       break;
   }
 }

@@ -2,11 +2,13 @@
 //
 // Availability, latency, and communication cost are sums of independent
 // per-interaction terms that depend only on the hosts carrying the two
-// endpoints. PairwiseDecomposition captures that term structure once per
-// (objective, model) pair; IncrementalEvaluator builds on it to re-score a
-// deployment after a single-component move in O(degree(component)) instead
-// of O(interactions) — the enabling optimization for the move-based searches
-// and the portfolio runner's throughput.
+// endpoints: model::interaction_term (interaction_term.h).
+// PairwiseDecomposition binds that kernel to one (objective, model) pair for
+// the tree searches and the decentralized utilities; IncrementalEvaluator
+// calls it on its SoA columns to re-score a deployment after a single-
+// component move in O(degree(component)) instead of O(interactions) — the
+// enabling optimization for the move-based searches and the portfolio
+// runner's throughput.
 //
 // Objectives that do not decompose pairwise (SecurityObjective's property
 // lookups, WeightedObjective's score mixing) are rejected by try_create();
@@ -19,6 +21,7 @@
 
 #include "model/deployment.h"
 #include "model/deployment_model.h"
+#include "model/interaction_term.h"
 #include "model/objective.h"
 
 namespace dif::model {
@@ -32,14 +35,27 @@ class PairwiseDecomposition {
   static std::optional<PairwiseDecomposition> try_create(
       const Objective& objective, const DeploymentModel& m);
 
+  /// The decomposition of `objective`, or availability's when `objective`
+  /// does not decompose: the per-interaction utility the decentralized
+  /// bidders and voters reason with.
+  static PairwiseDecomposition or_availability(const Objective& objective,
+                                               const DeploymentModel& m);
+
   [[nodiscard]] Direction direction() const noexcept { return direction_; }
 
   /// Contribution of interaction `ix` when its endpoints sit on `ha` and
-  /// `hb`. Either endpoint may be kNoHost (unassigned): availability counts
-  /// the interaction as unavailable, latency charges the disconnection
-  /// penalty, and communication cost treats it as remote.
+  /// `hb` (either may be kNoHost): this objective's interaction_term().
   [[nodiscard]] double pair_term(const Interaction& ix, HostId ha,
                                  HostId hb) const;
+
+  /// pair_term() oriented so that larger is better: negated for minimized
+  /// objectives. Utilities summed across hosts compare the same way for
+  /// every objective.
+  [[nodiscard]] double utility(const Interaction& ix, HostId ha,
+                               HostId hb) const {
+    const double term = pair_term(ix, ha, hb);
+    return direction_ == Direction::kMaximize ? term : -term;
+  }
 
   /// Best achievable contribution of interaction `ix` over any host pair
   /// (freq for availability; 0 for latency / communication cost).
@@ -56,12 +72,10 @@ class PairwiseDecomposition {
  private:
   friend class IncrementalEvaluator;  // hoists the kind switch out of loops
 
-  enum class Kind { kAvailability, kLatency, kCommCost };
-
-  PairwiseDecomposition(Kind kind, const DeploymentModel& m,
+  PairwiseDecomposition(TermKind kind, const DeploymentModel& m,
                         double penalty_ms, double scale);
 
-  Kind kind_;
+  TermKind kind_;
   Direction direction_;
   const DeploymentModel* model_;
   double penalty_ms_ = 0.0;
@@ -123,14 +137,11 @@ class IncrementalEvaluator {
   IncrementalEvaluator(PairwiseDecomposition decomposition,
                        const DeploymentModel& m);
 
-  /// Recomputes the term of interaction `index` given both endpoints'
-  /// current hosts; the kind switch is hoisted to the call sites' loops.
-  template <PairwiseDecomposition::Kind kKind>
-  [[nodiscard]] double term_of(std::uint32_t index, HostId ha,
-                               HostId hb) const;
-  template <PairwiseDecomposition::Kind kKind>
+  /// The term loops, one instantiation per objective kind so that the
+  /// kind switch runs once per call, not once per interaction.
+  template <TermKind kKind>
   void apply_terms(ComponentId c, HostId h);
-  template <PairwiseDecomposition::Kind kKind>
+  template <TermKind kKind>
   void reset_terms();
 
   PairwiseDecomposition decomposition_;

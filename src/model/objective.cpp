@@ -4,6 +4,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "model/interaction_term.h"
+
 namespace dif::model {
 
 double Objective::score(const DeploymentModel& model,
@@ -25,9 +27,9 @@ double AvailabilityObjective::evaluate(const DeploymentModel& model,
   double total = 0.0;
   for (const Interaction& ix : model.interactions()) {
     total += ix.frequency;
-    const HostId ha = d.host_of(ix.a), hb = d.host_of(ix.b);
-    if (ha == kNoHost || hb == kNoHost) continue;  // unassigned: unavailable
-    weighted += ix.frequency * model.physical_link(ha, hb).reliability;
+    weighted += interaction_term<TermKind::kAvailability>(
+        model, ix.frequency, ix.avg_event_size, d.host_of(ix.a),
+        d.host_of(ix.b));
   }
   return total > 0.0 ? weighted / total : 1.0;
 }
@@ -35,43 +37,21 @@ double AvailabilityObjective::evaluate(const DeploymentModel& model,
 double LatencyObjective::evaluate(const DeploymentModel& model,
                                   const Deployment& d) const {
   double latency = 0.0;
-  for (const Interaction& ix : model.interactions()) {
-    const HostId ha = d.host_of(ix.a), hb = d.host_of(ix.b);
-    if (ha == kNoHost || hb == kNoHost) {
-      latency += ix.frequency * penalty_ms_;
-      continue;
-    }
-    if (ha == hb) continue;
-    const PhysicalLink& link = model.physical_link(ha, hb);
-    if (link.bandwidth <= 0.0) {
-      latency += ix.frequency * penalty_ms_;
-    } else {
-      latency += ix.frequency *
-                 (link.delay_ms + 1000.0 * ix.avg_event_size / link.bandwidth);
-    }
-  }
+  for (const Interaction& ix : model.interactions())
+    latency += interaction_term<TermKind::kLatency>(
+        model, ix.frequency, ix.avg_event_size, d.host_of(ix.a),
+        d.host_of(ix.b), penalty_ms_);
   return latency;
-}
-
-double LatencyObjective::score(const DeploymentModel& model,
-                               const Deployment& d) const {
-  return 1.0 / (1.0 + evaluate(model, d) / scale_);
 }
 
 double CommunicationCostObjective::evaluate(const DeploymentModel& model,
                                             const Deployment& d) const {
   double cost = 0.0;
-  for (const Interaction& ix : model.interactions()) {
-    const HostId ha = d.host_of(ix.a), hb = d.host_of(ix.b);
-    if (ha == kNoHost || hb == kNoHost || ha != hb)
-      cost += ix.frequency * ix.avg_event_size;
-  }
+  for (const Interaction& ix : model.interactions())
+    cost += interaction_term<TermKind::kCommCost>(
+        model, ix.frequency, ix.avg_event_size, d.host_of(ix.a),
+        d.host_of(ix.b));
   return cost;
-}
-
-double CommunicationCostObjective::score(const DeploymentModel& model,
-                                         const Deployment& d) const {
-  return 1.0 / (1.0 + evaluate(model, d) / scale_);
 }
 
 double SecurityObjective::evaluate(const DeploymentModel& model,

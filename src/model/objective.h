@@ -6,6 +6,10 @@
 // are pluggable: algorithms are written against the abstract interface, and
 // new concerns (security, energy, ...) are added by subclassing — see
 // SecurityObjective for a property-map-driven example.
+//
+// Availability, latency, and communication cost are sums of per-interaction
+// terms; each term formula is written once, in model/interaction_term.h, and
+// their evaluate() bodies are single passes over that kernel.
 #pragma once
 
 #include <memory>
@@ -48,6 +52,15 @@ class Objective {
   [[nodiscard]] double worst() const;
 };
 
+/// Score transform of the minimized objectives (latency, communication
+/// cost): 1 / (1 + raw / reference_scale), in (0, 1] and monotonically
+/// decreasing in the raw value. PairwiseDecomposition::score_of applies the
+/// same transform.
+[[nodiscard]] inline double cost_score(double raw_value,
+                                       double reference_scale) {
+  return 1.0 / (1.0 + raw_value / reference_scale);
+}
+
 /// Availability (paper Section 5.1, definition from companion TR [12]):
 ///   A(d) = sum_ij freq(ci,cj) * rel(d(ci), d(cj)) / sum_ij freq(ci,cj)
 /// Local interactions count with reliability 1; disconnected host pairs with
@@ -82,9 +95,11 @@ class LatencyObjective final : public Objective {
   }
   [[nodiscard]] double evaluate(const DeploymentModel& model,
                                 const Deployment& d) const override;
-  /// 1 / (1 + L / reference_scale) — monotonically decreasing in latency.
+  /// cost_score(L, reference_scale) — monotonically decreasing in latency.
   [[nodiscard]] double score(const DeploymentModel& model,
-                             const Deployment& d) const override;
+                             const Deployment& d) const override {
+    return cost_score(evaluate(model, d), scale_);
+  }
 
   [[nodiscard]] double disconnected_penalty_ms() const noexcept {
     return penalty_ms_;
@@ -112,7 +127,9 @@ class CommunicationCostObjective final : public Objective {
   [[nodiscard]] double evaluate(const DeploymentModel& model,
                                 const Deployment& d) const override;
   [[nodiscard]] double score(const DeploymentModel& model,
-                             const Deployment& d) const override;
+                             const Deployment& d) const override {
+    return cost_score(evaluate(model, d), scale_);
+  }
   [[nodiscard]] double reference_scale() const noexcept { return scale_; }
 
  private:

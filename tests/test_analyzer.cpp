@@ -260,10 +260,13 @@ TEST(DecentralizedAnalyzer, AcceptsImprovingDecApResult) {
   }
   // The analyzer's verdict must match an independent run of the voting
   // protocol over the same utility deltas.
+  const auto terms =
+      model::PairwiseDecomposition::or_availability(availability,
+                                                    system->model());
   const LocalUtility delta = [&](model::HostId host) {
-    return local_utility(system->model(), availability, decision.target,
-                         awareness, host) -
-           local_utility(system->model(), availability, system->deployment(),
+    return local_utility(system->model(), terms, decision.target, awareness,
+                         host) -
+           local_utility(system->model(), terms, system->deployment(),
                          awareness, host);
   };
   const bool expected =
@@ -286,8 +289,9 @@ TEST(DecentralizedAnalyzer, PollingPathProducesDecision) {
       analyzer.analyze(system->model(), availability, checker,
                        system->deployment(), awareness, 12);
   EXPECT_EQ(decision.algorithm, "decap");
-  if (decision.action == Decision::Action::kRedeploy)
+  if (decision.action == Decision::Action::kRedeploy) {
     EXPECT_NE(decision.reason.find("poll"), std::string::npos);
+  }
 }
 
 TEST(LocalUtility, CountsOnlyAwarePartners) {
@@ -303,15 +307,16 @@ TEST(LocalUtility, CountsOnlyAwarePartners) {
   m.set_logical_link(0, 1, {.frequency = 2.0, .avg_event_size = 1.0});
   m.set_logical_link(0, 2, {.frequency = 4.0, .avg_event_size = 1.0});
   const model::Deployment d(std::vector<model::HostId>{0, 1, 2});
-  const model::AvailabilityObjective availability;
+  const auto terms = model::PairwiseDecomposition::or_availability(
+      model::AvailabilityObjective(), m);
 
   // Full awareness: host 0 sees both of a's interactions.
-  const double full = local_utility(m, availability, d,
-                                    algo::AwarenessGraph::full(3), 0);
+  const double full =
+      local_utility(m, terms, d, algo::AwarenessGraph::full(3), 0);
   EXPECT_DOUBLE_EQ(full, 2.0 * 0.5 + 4.0 * 0.0);  // h0-h2 unlinked: rel 0
   // Link-derived awareness: host 0 is unaware of host 2 entirely.
-  const double partial = local_utility(
-      m, availability, d, algo::AwarenessGraph::from_links(m), 0);
+  const double partial =
+      local_utility(m, terms, d, algo::AwarenessGraph::from_links(m), 0);
   EXPECT_DOUBLE_EQ(partial, 2.0 * 0.5);
 }
 

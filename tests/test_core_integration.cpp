@@ -220,7 +220,9 @@ TEST(Decentralized, AuctionSweepImprovesAvailability) {
   const double final_value =
       availability.evaluate(system->model(), final_deployment);
   EXPECT_GE(final_value + 1e-9, initial);
-  if (total_moves > 0) EXPECT_GT(final_value, initial);
+  if (total_moves > 0) {
+    EXPECT_GT(final_value, initial);
+  }
   EXPECT_GT(inst.stats().auctions, 0u);
 }
 
@@ -421,7 +423,9 @@ TEST(Decentralized, RatifiedSweepStillImproves) {
   EXPECT_GE(final_value + 1e-9, initial);
   EXPECT_GT(fleet.votes_held(), 0u);
   // Votes that passed actually became migrations.
-  if (moves > 0) EXPECT_LT(fleet.votes_rejected(), fleet.votes_held());
+  if (moves > 0) {
+    EXPECT_LT(fleet.votes_rejected(), fleet.votes_held());
+  }
 }
 
 }  // namespace
@@ -662,8 +666,9 @@ TEST(ImprovementLoop, AdaptiveIntervalResetsOnRedeployment) {
   // The first tick redeploys (scattered initial deployment is improvable):
   inst.simulator().run_until(1'100.0);
   ASSERT_FALSE(loop.history().empty());
-  if (loop.history().front().action == analyzer::Decision::Action::kRedeploy)
+  if (loop.history().front().action == analyzer::Decision::Action::kRedeploy) {
     EXPECT_DOUBLE_EQ(loop.current_interval_ms(), 1'000.0);
+  }
   // Eventually quiescent: the interval climbs.
   inst.simulator().run_until(120'000.0);
   EXPECT_GT(loop.current_interval_ms(), 1'000.0);

@@ -34,11 +34,12 @@ TEST(AwarenessGraph, FromLinksMirrorsConnectivity) {
   const AwarenessGraph g = AwarenessGraph::from_links(m);
   for (std::size_t a = 0; a < 6; ++a)
     for (std::size_t b = 0; b < 6; ++b)
-      if (a != b)
+      if (a != b) {
         EXPECT_EQ(g.aware(static_cast<model::HostId>(a),
                           static_cast<model::HostId>(b)),
                   m.connected(static_cast<model::HostId>(a),
                               static_cast<model::HostId>(b)));
+      }
 }
 
 TEST(AwarenessGraph, RandomIsSymmetricAndSeeded) {

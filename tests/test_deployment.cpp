@@ -29,7 +29,7 @@ TEST(Deployment, AssignUnassign) {
 
 TEST(Deployment, OutOfRangeThrows) {
   Deployment d(2);
-  EXPECT_THROW(d.host_of(2), std::out_of_range);
+  EXPECT_THROW((void)d.host_of(2), std::out_of_range);
   EXPECT_THROW(d.assign(5, 0), std::out_of_range);
 }
 
@@ -53,7 +53,7 @@ TEST(Deployment, DiffCountsChangedComponents) {
 }
 
 TEST(Deployment, DiffSizeMismatchThrows) {
-  EXPECT_THROW(Deployment::diff_count(Deployment(2), Deployment(3)),
+  EXPECT_THROW((void)Deployment::diff_count(Deployment(2), Deployment(3)),
                std::invalid_argument);
   EXPECT_THROW(Deployment::diff(Deployment(2), Deployment(3)),
                std::invalid_argument);

@@ -25,9 +25,9 @@ TEST(DeploymentModel, AddAndLookup) {
   EXPECT_EQ(m.component(1).name, "c1");
   EXPECT_EQ(m.host_by_name("h1"), 1u);
   EXPECT_EQ(m.component_by_name("c0"), 0u);
-  EXPECT_THROW(m.host_by_name("nope"), std::out_of_range);
-  EXPECT_THROW(m.component_by_name("nope"), std::out_of_range);
-  EXPECT_THROW(m.host(9), std::out_of_range);
+  EXPECT_THROW((void)m.host_by_name("nope"), std::out_of_range);
+  EXPECT_THROW((void)m.component_by_name("nope"), std::out_of_range);
+  EXPECT_THROW((void)m.host(9), std::out_of_range);
 }
 
 TEST(DeploymentModel, PhysicalLinksAreSymmetric) {

@@ -198,11 +198,12 @@ TEST(Modifier, ScaleAllReliabilitiesClamps) {
   for (std::size_t a = 0; a < 4; ++a)
     for (std::size_t b = a + 1; b < 4; ++b)
       if (m.connected(static_cast<model::HostId>(a),
-                      static_cast<model::HostId>(b)))
+                      static_cast<model::HostId>(b))) {
         EXPECT_LE(m.physical_link(static_cast<model::HostId>(a),
                                   static_cast<model::HostId>(b))
                       .reliability,
                   1.0);
+      }
 }
 
 TEST(AlgoResultData, TracksBestPerObjective) {
@@ -246,7 +247,9 @@ TEST(AlgorithmContainer, InvokeRecordsResult) {
   EXPECT_EQ(entry.result.migrations,
             model::Deployment::diff_count(system->deployment(),
                                           entry.result.deployment));
-  if (entry.result.migrations > 0) EXPECT_GT(entry.estimated_redeploy_ms, 0.0);
+  if (entry.result.migrations > 0) {
+    EXPECT_GT(entry.estimated_redeploy_ms, 0.0);
+  }
 }
 
 TEST(AlgorithmContainer, InvokeAllSkipsInapplicable) {

@@ -33,10 +33,10 @@ TEST(ByteReader, TruncatedInputThrows) {
   const auto buffer = w.take();
   ByteReader r(buffer);
   (void)r.u32();
-  EXPECT_THROW(r.u8(), DecodeError);
+  EXPECT_THROW((void)r.u8(), DecodeError);
 
   ByteReader r2(buffer);
-  EXPECT_THROW(r2.u64(), DecodeError);
+  EXPECT_THROW((void)r2.u64(), DecodeError);
 }
 
 TEST(ByteReader, BogusLengthPrefixThrows) {

@@ -37,7 +37,7 @@ TEST(Fluctuation, ReliabilityStaysClamped) {
   fluct.start();
   for (int i = 0; i < 100; ++i) {
     f.sim.run_until(f.sim.now() + 10.0);
-    for (const auto [a, b] : {std::pair{0, 1}, std::pair{1, 2}}) {
+    for (const auto& [a, b] : {std::pair{0, 1}, std::pair{1, 2}}) {
       const double r = f.net.link(a, b).reliability;
       EXPECT_GE(r, 0.1);
       EXPECT_LE(r, 0.9);

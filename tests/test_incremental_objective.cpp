@@ -1,11 +1,16 @@
 // Property-style equivalence harness for the incremental evaluator: after
 // any sequence of random single-component moves, the delta-maintained value
 // must match a from-scratch Objective::evaluate to within floating-point
-// accumulation noise.
+// accumulation noise. The two paths share the term kernel but sum it in
+// different orders over different deployments' histories, so agreement
+// checks the delta bookkeeping; test_objective_golden pins the values.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "desi/generator.h"
 #include "model/incremental.h"
@@ -20,32 +25,68 @@ void expect_close(double a, double b, const char* what, std::size_t step) {
   EXPECT_NEAR(a, b, 1e-9 * scale) << what << " at move " << step;
 }
 
+const desi::GeneratorSpec kConstrainedSpec{.hosts = 8,
+                                           .components = 24,
+                                           .interaction_density = 0.3,
+                                           .location_constraints = 2,
+                                           .colocation_pairs = 1,
+                                           .anti_colocation_pairs = 1};
+
 std::unique_ptr<desi::SystemData> make_system(std::uint64_t seed) {
-  return desi::Generator::generate(
-      {.hosts = 8,
-       .components = 24,
-       .interaction_density = 0.3,
-       .location_constraints = 2,
-       .colocation_pairs = 1,
-       .anti_colocation_pairs = 1},
-      seed);
+  return desi::Generator::generate(kConstrainedSpec, seed);
+}
+
+/// One row of the equivalence table: a generated system shape, its seed,
+/// and the latency objective's disconnection penalty. Rows are named
+/// `<shape>_<seed>`, or just `<seed>` for the constrained shape.
+struct EquivalenceCase {
+  const char* shape;
+  desi::GeneratorSpec spec;
+  std::uint64_t seed = 0;
+  double latency_penalty_ms = 10'000.0;
+};
+
+std::vector<EquivalenceCase> equivalence_cases() {
+  std::vector<EquivalenceCase> cases;
+  for (const std::uint64_t seed : {1, 7, 19, 101})
+    cases.push_back({"", kConstrainedSpec, seed});
+  // Small dense, sparse-link (many disconnected pairs, custom penalty), and
+  // three-host shapes.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    cases.push_back(
+        {"availability",
+         {.hosts = 5, .components = 12, .interaction_density = 0.4},
+         seed});
+    cases.push_back({"latency",
+                     {.hosts = 4, .components = 10, .link_density = 0.3},
+                     seed,
+                     1234.5});
+    cases.push_back({"commcost", {.hosts = 3, .components = 8}, seed});
+  }
+  return cases;
+}
+
+/// Prints the row's name; ctest lists each row under it.
+void PrintTo(const EquivalenceCase& row, std::ostream* out) {
+  if (*row.shape) *out << row.shape << '_';
+  *out << row.seed;
 }
 
 class IncrementalEquivalenceTest
-    : public ::testing::TestWithParam<std::uint64_t> {};
+    : public ::testing::TestWithParam<EquivalenceCase> {};
 
 /// Replays thousands of random single-component moves (including unassigns)
 /// against each decomposable objective and cross-checks every step.
 TEST_P(IncrementalEquivalenceTest, ThousandsOfRandomMovesMatchFullEvaluate) {
-  const auto system = make_system(GetParam());
+  const EquivalenceCase& param = GetParam();
+  const auto system = desi::Generator::generate(param.spec, param.seed);
   const DeploymentModel& m = system->model();
-  util::Xoshiro256ss rng(GetParam() * 31 + 5);
+  util::Xoshiro256ss rng(param.seed * 31 + 5);
 
   const AvailabilityObjective availability;
-  const LatencyObjective latency;
+  const LatencyObjective latency(param.latency_penalty_ms);
   const CommunicationCostObjective comm_cost;
   const Objective* objectives[] = {&availability, &latency, &comm_cost};
-
   for (const Objective* objective : objectives) {
     auto inc = IncrementalEvaluator::try_create(*objective, m);
     ASSERT_TRUE(inc.has_value()) << objective->name();
@@ -75,7 +116,7 @@ TEST_P(IncrementalEquivalenceTest, ThousandsOfRandomMovesMatchFullEvaluate) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEquivalenceTest,
-                         ::testing::Values(1, 7, 19, 101));
+                         ::testing::ValuesIn(equivalence_cases()));
 
 TEST(IncrementalEvaluator, ScoreMatchesObjectiveScore) {
   const auto system = make_system(3);
@@ -210,6 +251,40 @@ TEST(IncrementalEvaluator, RejectsNonDecomposableObjectives) {
   terms.push_back({std::make_shared<LatencyObjective>(), 1.0});
   const WeightedObjective weighted(std::move(terms));
   EXPECT_FALSE(IncrementalEvaluator::try_create(weighted, m).has_value());
+}
+
+TEST(Pairwise, OptimisticTermBoundsEveryPlacement) {
+  const auto system =
+      desi::Generator::generate({.hosts = 4, .components = 8}, 99);
+  const DeploymentModel& m = system->model();
+  const AvailabilityObjective objective;
+  const auto terms = PairwiseDecomposition::try_create(objective, m);
+  ASSERT_TRUE(terms.has_value());
+  for (const Interaction& ix : m.interactions())
+    for (HostId a = 0; a < m.host_count(); ++a)
+      for (HostId b = 0; b < m.host_count(); ++b)
+        EXPECT_LE(terms->pair_term(ix, a, b),
+                  terms->optimistic_term(ix) + 1e-12);
+}
+
+TEST(Pairwise, UnknownObjectiveIsNotDecomposable) {
+  const auto system =
+      desi::Generator::generate({.hosts = 2, .components = 4}, 1);
+  const SecurityObjective security;
+  EXPECT_FALSE(PairwiseDecomposition::try_create(security, system->model())
+                   .has_value());
+}
+
+TEST(Pairwise, WeightedObjectiveIsNotDecomposable) {
+  const auto system =
+      desi::Generator::generate({.hosts = 2, .components = 4}, 2);
+  auto availability = std::make_shared<AvailabilityObjective>();
+  auto latency = std::make_shared<LatencyObjective>();
+  const WeightedObjective weighted({{availability, 1.0}, {latency, 1.0}});
+  // Weighted mixes normalized scores non-linearly across terms; exact
+  // search must fall back to leaf evaluation rather than mis-prune.
+  EXPECT_FALSE(PairwiseDecomposition::try_create(weighted, system->model())
+                   .has_value());
 }
 
 }  // namespace

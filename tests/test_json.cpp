@@ -93,15 +93,15 @@ TEST(JsonValue, TypePredicates) {
 }
 
 TEST(JsonValue, AccessorsThrowOnTypeMismatch) {
-  EXPECT_THROW(Value(1.0).as_string(), JsonError);
-  EXPECT_THROW(Value("x").as_number(), JsonError);
-  EXPECT_THROW(Value().as_array(), JsonError);
-  EXPECT_THROW(Value(true).at("k"), JsonError);
+  EXPECT_THROW((void)Value(1.0).as_string(), JsonError);
+  EXPECT_THROW((void)Value("x").as_number(), JsonError);
+  EXPECT_THROW((void)Value().as_array(), JsonError);
+  EXPECT_THROW((void)Value(true).at("k"), JsonError);
 }
 
 TEST(JsonValue, AtThrowsOnMissingKey) {
   const Value v = parse(R"({"a":1})");
-  EXPECT_THROW(v.at("b"), JsonError);
+  EXPECT_THROW((void)v.at("b"), JsonError);
 }
 
 TEST(JsonValue, FindAndDefaults) {

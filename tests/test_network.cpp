@@ -151,7 +151,7 @@ TEST(SimNetwork, StatsAccumulateAndReset) {
 
 TEST(SimNetwork, InvalidIdsThrow) {
   Fixture f;
-  EXPECT_THROW(f.net.link(0, 9), std::out_of_range);
+  EXPECT_THROW((void)f.net.link(0, 9), std::out_of_range);
   EXPECT_THROW(f.net.set_receiver(9, nullptr), std::out_of_range);
   EXPECT_THROW(f.net.set_link(1, 1, {}), std::invalid_argument);
 }

@@ -33,7 +33,7 @@ TEST_P(PropertyTest, EveryAlgorithmRespectsEveryConstraintKind) {
                                          system->constraints());
   const model::AvailabilityObjective availability;
   const auto registry = algo::AlgorithmRegistry::with_defaults();
-  for (const std::string& name :
+  for (const char* name :
        {"exact", "stochastic", "avala", "hillclimb", "annealing", "genetic",
         "decap"}) {
     algo::AlgoOptions options;

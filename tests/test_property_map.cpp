@@ -21,7 +21,7 @@ TEST(PropertyMap, GetReturnsNulloptWhenAbsent) {
   PropertyMap map;
   EXPECT_FALSE(map.get("missing").has_value());
   EXPECT_DOUBLE_EQ(map.get_or("missing", 7.0), 7.0);
-  EXPECT_THROW(map.at("missing"), std::out_of_range);
+  EXPECT_THROW((void)map.at("missing"), std::out_of_range);
 }
 
 TEST(PropertyMap, ContainsAndErase) {

@@ -106,7 +106,7 @@ TEST(SlidingWindow, FillsThenEvictsOldest) {
 
 TEST(SlidingWindow, LatestTracksInsertionAcrossWrap) {
   SlidingWindow w(2);
-  EXPECT_THROW(w.latest(), std::logic_error);
+  EXPECT_THROW((void)w.latest(), std::logic_error);
   w.add(1.0);
   EXPECT_DOUBLE_EQ(w.latest(), 1.0);
   w.add(2.0);

@@ -172,8 +172,9 @@ TEST(Workload, KillRegionIsCorrelatedAndHonorsRegionTopology) {
   }
   // Every killable host of the chosen region goes down with it.
   for (std::size_t h = 1; h < m.host_count(); ++h)
-    if (m.host_region(static_cast<model::HostId>(h)) == region)
+    if (m.host_region(static_cast<model::HostId>(h)) == region) {
       EXPECT_TRUE(hit.count(static_cast<model::HostId>(h)));
+    }
 }
 
 TEST(Workload, PinnedKillRegionRespectsThePin) {
