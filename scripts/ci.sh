@@ -40,6 +40,14 @@ for seed in 1 2 3 5 8 13; do
     --constraints 4 > "$ROOT/build/ci_gen_$seed.json"
   "$DIFCTL" check "$ROOT/build/ci_gen_$seed.json" > /dev/null
 done
+# One fleet-size row (1024 hosts x 2048 components, 32 regions,
+# constraints): generated systems are clean by construction, so check must
+# exit 0 even with --strict. The rules take ~0.1 s here; generating and
+# parsing the ~160 MB description take the rest (~11 s in all).
+"$DIFCTL" generate --hosts 1024 --components 2048 --seed 7 --regions 32 \
+  --constraints 64 > "$ROOT/build/ci_gen_fleet.json"
+"$DIFCTL" check "$ROOT/build/ci_gen_fleet.json" --strict > /dev/null
+rm -f "$ROOT/build/ci_gen_fleet.json"
 
 echo "== metrics smoke: simulate + schema/invariant check =="
 if command -v python3 >/dev/null 2>&1; then

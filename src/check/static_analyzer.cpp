@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -148,10 +149,14 @@ void check_param_ranges(Ctx& ctx) {
                  " is not a finite non-negative number",
              "set a non-negative CPU load");
   }
+  // Stream the dense link matrix row by row (row a holds the pairs (a, b>a)
+  // contiguously). The raw entries of a pair physical_link() reports as
+  // disconnected fail the same absent-link test below, so the scan is exact.
+  const model::PhysicalLinkTable links = ctx.m.physical_link_table();
   for (std::size_t a = 0; a < ctx.k; ++a) {
+    const model::PhysicalLink* row = links.data + a * links.dim;
     for (std::size_t b = a + 1; b < ctx.k; ++b) {
-      const model::PhysicalLink& link = ctx.m.physical_link(
-          static_cast<HostId>(a), static_cast<HostId>(b));
+      const model::PhysicalLink& link = row[b];
       if (link.bandwidth <= 0.0 && link.reliability <= 0.0 &&
           !std::isnan(link.reliability) && !std::isnan(link.bandwidth))
         continue;  // absent link
@@ -177,23 +182,25 @@ void check_param_ranges(Ctx& ctx) {
   }
   // Iterate the raw logical links, not interactions(): the interaction
   // cache filters on frequency > 0, which would hide negative/NaN entries.
-  for (std::size_t a = 0; a < ctx.n; ++a) {
-    for (std::size_t b = a + 1; b < ctx.n; ++b) {
-      const model::LogicalLink& link = ctx.m.logical_link(
-          static_cast<ComponentId>(a), static_cast<ComponentId>(b));
-      if (link.frequency == 0.0 && link.avg_event_size == 0.0)
-        continue;  // absent interaction
-      const std::string subject =
-          "interaction " + ctx.m.component(static_cast<ComponentId>(a)).name +
-          "--" + ctx.m.component(static_cast<ComponentId>(b)).name;
-      if (bad_nonneg(link.frequency))
-        report(subject, "frequency " + fmt(link.frequency) + " is invalid",
-               "set a non-negative interaction frequency");
-      if (bad_nonneg(link.avg_event_size))
-        report(subject,
-               "event size " + fmt(link.avg_event_size) + " is invalid",
-               "set a non-negative average event size in KB");
-    }
+  // Storage order is hash order, so collect the defective pairs and report
+  // them in canonical (a, b) order.
+  std::vector<std::pair<ComponentId, ComponentId>> defective;
+  ctx.m.for_each_logical_link(
+      [&](ComponentId a, ComponentId b, const model::LogicalLink& link) {
+        if (bad_nonneg(link.frequency) || bad_nonneg(link.avg_event_size))
+          defective.emplace_back(a, b);
+      });
+  std::sort(defective.begin(), defective.end());
+  for (const auto& [a, b] : defective) {
+    const model::LogicalLink& link = ctx.m.logical_link(a, b);
+    const std::string subject = "interaction " + ctx.m.component(a).name +
+                                "--" + ctx.m.component(b).name;
+    if (bad_nonneg(link.frequency))
+      report(subject, "frequency " + fmt(link.frequency) + " is invalid",
+             "set a non-negative interaction frequency");
+    if (bad_nonneg(link.avg_event_size))
+      report(subject, "event size " + fmt(link.avg_event_size) + " is invalid",
+             "set a non-negative average event size in KB");
   }
 }
 
@@ -241,9 +248,34 @@ std::string group_subjects(const Ctx& ctx,
   return out + "}";
 }
 
+/// The largest memory and CPU capacity among a set of legal hosts, and
+/// whether every one of them models CPU.
+struct BestHost {
+  double memory = 0.0;
+  double cpu = 0.0;
+  bool all_model_cpu = true;
+};
+
+/// BestHost over the hosts whose bit is set in `legal` (nullptr: all hosts).
+BestHost best_legal_host(const Ctx& ctx,
+                         const std::vector<std::uint64_t>* legal) {
+  BestHost best;
+  for (std::size_t h = 0; h < ctx.k; ++h) {
+    if (legal != nullptr && !mask_bit(*legal, h)) continue;
+    const model::Host& host = ctx.m.host(static_cast<HostId>(h));
+    best.memory = std::max(best.memory, host.memory_capacity);
+    best.cpu = std::max(best.cpu, host.cpu_capacity);
+    best.all_model_cpu &= host.cpu_capacity > 0.0;
+  }
+  return best;
+}
+
 void check_groups(Ctx& ctx, bool location_satisfiability,
                   bool capacity_bounds) {
   if (ctx.k == 0) return;
+  // Most groups may use every host; their best host is the all-hosts best,
+  // computed once instead of per group.
+  const BestHost best_of_all = best_legal_host(ctx, nullptr);
   // Global pigeonhole first: total footprint vs total capacity.
   if (capacity_bounds && ctx.n > 0) {
     double total_mem = 0.0, total_cap = 0.0;
@@ -288,19 +320,13 @@ void check_groups(Ctx& ctx, bool location_satisfiability,
       group_mem += ctx.m.component(static_cast<ComponentId>(c)).memory_size;
       group_cpu += ctx.m.component(static_cast<ComponentId>(c)).cpu_load;
     }
-    double best_mem = 0.0, best_cpu = 0.0;
-    bool all_model_cpu = true;
-    for (std::size_t h = 0; h < ctx.k; ++h) {
-      if (!mask_bit(common, h)) continue;
-      const model::Host& host = ctx.m.host(static_cast<HostId>(h));
-      best_mem = std::max(best_mem, host.memory_capacity);
-      best_cpu = std::max(best_cpu, host.cpu_capacity);
-      all_model_cpu &= host.cpu_capacity > 0.0;
-    }
+    const BestHost best = legal_hosts == ctx.k
+                              ? best_of_all
+                              : best_legal_host(ctx, &common);
     const std::string subject = group.size() == 1
                                     ? ctx.a.component_subject(group[0])
                                     : group_subjects(ctx, group);
-    if (group_mem > best_mem)
+    if (group_mem > best.memory)
       ctx.report.add(
           {Rule::kCapacityPigeonhole,
            Severity::kError,
@@ -308,24 +334,45 @@ void check_groups(Ctx& ctx, bool location_satisfiability,
            (group.size() == 1 ? "memory footprint "
                               : "combined memory footprint ") +
                fmt(group_mem) + " KB exceeds the best legal host's " +
-               fmt(best_mem) + " KB",
+               fmt(best.memory) + " KB",
            "grow a legal host, shrink the components, or relax the "
            "constraints"});
-    if (all_model_cpu && group_cpu > best_cpu)
+    if (best.all_model_cpu && group_cpu > best.cpu)
       ctx.report.add(
           {Rule::kCapacityPigeonhole,
            Severity::kError,
            {subject},
            (group.size() == 1 ? "CPU load " : "combined CPU load ") +
                fmt(group_cpu) + " exceeds the best legal host's capacity " +
-               fmt(best_cpu),
+               fmt(best.cpu),
            "grow a legal host's CPU capacity or relax the constraints"});
   }
 }
 
-/// Connected components of the physical network (links with bandwidth > 0).
-std::vector<std::size_t> network_components(const DeploymentModel& m) {
+/// Per host, the hosts a physical link with bandwidth > 0 connects it to.
+using HostAdjacency = std::vector<std::vector<std::size_t>>;
+
+/// DeploymentModel::connected for every host pair, read in one contiguous
+/// row stream over the dense link matrix instead of k^2 bounds-checked calls.
+HostAdjacency host_adjacency(const DeploymentModel& m) {
   const std::size_t k = m.host_count();
+  const model::PhysicalLinkTable links = m.physical_link_table();
+  HostAdjacency adjacent(k);
+  for (std::size_t a = 0; a < k; ++a) {
+    const model::PhysicalLink* row = links.data + a * links.dim;
+    for (std::size_t b = a + 1; b < k; ++b) {
+      if (row[b].bandwidth <= 0.0) continue;
+      adjacent[a].push_back(b);
+      adjacent[b].push_back(a);
+    }
+  }
+  return adjacent;
+}
+
+/// Connected components of the physical network, labelled in order of their
+/// lowest host id.
+std::vector<std::size_t> network_components(const HostAdjacency& adjacent) {
+  const std::size_t k = adjacent.size();
   std::vector<std::size_t> label(k, k);  // k == unvisited
   std::size_t next = 0;
   std::vector<std::size_t> stack;
@@ -336,12 +383,10 @@ std::vector<std::size_t> network_components(const DeploymentModel& m) {
     while (!stack.empty()) {
       const std::size_t h = stack.back();
       stack.pop_back();
-      for (std::size_t other = 0; other < k; ++other) {
+      for (const std::size_t other : adjacent[h]) {
         if (label[other] != k) continue;
-        if (m.connected(static_cast<HostId>(h), static_cast<HostId>(other))) {
-          label[other] = next;
-          stack.push_back(other);
-        }
+        label[other] = next;
+        stack.push_back(other);
       }
     }
     ++next;
@@ -349,37 +394,59 @@ std::vector<std::size_t> network_components(const DeploymentModel& m) {
   return label;
 }
 
-void check_network(Ctx& ctx) {
+/// One component's legal hosts inside one partition: how many, and the
+/// lowest of them (meaningful when count == 1).
+struct PartitionHosts {
+  std::size_t count = 0;
+  std::size_t host = 0;
+};
+
+/// Stops counting once two hosts are found: callers only ask "none, one
+/// (which), or several".
+PartitionHosts legal_hosts_in(std::span<const std::uint64_t> row,
+                              const std::uint64_t* partition) {
+  PartitionHosts out;
+  for (std::size_t w = 0; w < row.size() && out.count < 2; ++w) {
+    const std::uint64_t bits = row[w] & partition[w];
+    if (bits == 0) continue;
+    if (out.count == 0)
+      out.host = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+    out.count += static_cast<std::size_t>(std::popcount(bits));
+  }
+  return out;
+}
+
+void check_network(Ctx& ctx, const HostAdjacency& adjacent) {
   if (ctx.k == 0) return;
-  const std::vector<std::size_t> label = network_components(ctx.m);
+  const std::vector<std::size_t> label = network_components(adjacent);
   std::size_t partitions = 0;
   for (const std::size_t l : label) partitions = std::max(partitions, l + 1);
+  // Host bitmask per partition, in the allow rows' word layout, so an
+  // endpoint's legal hosts in a partition cost k/64 word ANDs.
+  const std::size_t words = (ctx.k + 63) / 64;
+  std::vector<std::uint64_t> partition_hosts(partitions * words, 0);
+  for (std::size_t h = 0; h < ctx.k; ++h)
+    partition_hosts[label[h] * words + h / 64] |= std::uint64_t{1} << (h % 64);
+  // Separation pairs are stored canonically (a < b), like interactions.
+  std::vector<std::pair<ComponentId, ComponentId>> separations =
+      ctx.set.anti_colocation_pairs();
+  std::sort(separations.begin(), separations.end());
 
   for (const model::Interaction& ix : ctx.m.interactions()) {
     if (ix.a >= ctx.n || ix.b >= ctx.n) continue;
     // Direct separation constraint between the endpoints?
-    bool separated = false;
-    for (const auto& [a, b] : ctx.set.anti_colocation_pairs())
-      separated |= (a == std::min(ix.a, ix.b) && b == std::max(ix.a, ix.b));
+    const bool separated = std::binary_search(
+        separations.begin(), separations.end(), std::pair{ix.a, ix.b});
 
     bool reachable = false;
     for (std::size_t part = 0; part < partitions && !reachable; ++part) {
-      std::size_t a_here = 0, b_here = 0, a_host = 0, b_host = 0;
-      for (std::size_t h = 0; h < ctx.k; ++h) {
-        if (label[h] != part) continue;
-        if (ctx.a.allowed(ix.a, h)) {
-          ++a_here;
-          a_host = h;
-        }
-        if (ctx.a.allowed(ix.b, h)) {
-          ++b_here;
-          b_host = h;
-        }
-      }
-      if (a_here == 0 || b_here == 0) continue;
+      const std::uint64_t* hosts = partition_hosts.data() + part * words;
+      const PartitionHosts a = legal_hosts_in(ctx.a.allowed_row(ix.a), hosts);
+      const PartitionHosts b = legal_hosts_in(ctx.a.allowed_row(ix.b), hosts);
+      if (a.count == 0 || b.count == 0) continue;
       // With a separation constraint the endpoints need two distinct hosts
       // in the same partition; without one, collocation always works.
-      if (!separated || a_here > 1 || b_here > 1 || a_host != b_host)
+      if (!separated || a.count > 1 || b.count > 1 || a.host != b.host)
         reachable = true;
     }
     if (reachable) continue;
@@ -423,14 +490,10 @@ void check_regions(Ctx& ctx) {
   }
 }
 
-void check_lints(Ctx& ctx) {
+void check_lints(Ctx& ctx, const HostAdjacency& adjacent) {
   if (ctx.k > 1) {
     for (std::size_t h = 0; h < ctx.k; ++h) {
-      bool linked = false;
-      for (std::size_t other = 0; other < ctx.k && !linked; ++other)
-        linked = other != h && ctx.m.connected(static_cast<HostId>(h),
-                                               static_cast<HostId>(other));
-      if (!linked)
+      if (adjacent[h].empty())
         ctx.report.add({Rule::kIsolatedHost,
                         Severity::kWarning,
                         {ctx.a.host_subject(h)},
@@ -468,15 +531,9 @@ AnalysisContext::AnalysisContext(const DeploymentModel& model,
       n_(model.component_count()),
       k_(model.host_count()),
       words_((k_ + 63) / 64) {
-  // Allow-mask rows: like ConstraintChecker's compiled masks but built
-  // rule-level so the analyzer works on models the checker's constructor
-  // would reject (e.g. zero hosts).
-  rows_.assign(n_ * words_, 0);
-  for (std::size_t c = 0; c < n_; ++c)
-    for (std::size_t h = 0; h < k_; ++h)
-      if (set.host_allowed(static_cast<ComponentId>(c),
-                           static_cast<HostId>(h)))
-        rows_[c * words_ + h / 64] |= std::uint64_t{1} << (h % 64);
+  // The same compiled rows as ConstraintChecker; the builder also accepts
+  // models the checker's constructor rejects (zero hosts).
+  rows_ = model::allowed_host_masks(set, n_, k_);
 
   // Must-collocate closure, flattened to per-component roots.
   UnionFind uf(n_);
@@ -538,9 +595,12 @@ CheckReport StaticAnalyzer::analyze(const AnalysisContext& context) const {
     check_groups(ctx, options_.location_satisfiability,
                  options_.capacity_bounds);
 
-  if (options_.network_reachability) check_network(ctx);
+  HostAdjacency adjacent;
+  if (options_.network_reachability || options_.lints)
+    adjacent = host_adjacency(ctx.m);
+  if (options_.network_reachability) check_network(ctx, adjacent);
   if (options_.region_awareness) check_regions(ctx);
-  if (options_.lints) check_lints(ctx);
+  if (options_.lints) check_lints(ctx, adjacent);
   return report;
 }
 

@@ -22,12 +22,19 @@
 // of check/audit.h, check/resilience.h, and check/plan_check.h — is
 // documented with defect examples in docs/checking.md.
 //
-// Complexity: O(n·k) per location rule plus O(k^2) for the host-graph BFS —
-// negligible next to any solver run, so the preflight hook (preflight.h)
-// runs it on every algorithm entry.
+// Complexity: the rules read what the model and constraint set store, not
+// every id pair: O(n + k + stored logical links + rules) plus bitmask rows
+// of n·k/64 words, and one contiguous O(k^2) row stream over the dense
+// physical-link matrix (param-range; network-partition and isolated-host
+// share a second one) until the model stores physical links sparsely.
+// region-spof still tests up to k allow bits per component confined to one
+// region. At 1024 hosts x 2048 components the pre-flight rule set costs
+// ~8 ms, a fraction of a warm-started solver run; the preflight hook
+// (preflight.h) runs it on every algorithm entry.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,9 +65,9 @@ struct CheckOptions {
 };
 
 /// Shared rule context over one (model, constraint set) pair: the
-/// per-component allowed-host bitmask rows and the must-collocate
-/// union-find closure, built once up front. Building these dominates an
-/// analyze() call, so the spec rules (StaticAnalyzer) and the artifact
+/// per-component allowed-host bitmask rows (model::allowed_host_masks) and
+/// the must-collocate union-find closure, built once up front in
+/// O(n·k/64 + n + rules). The spec rules (StaticAnalyzer) and the artifact
 /// auditors (check/audit.h, check/plan_check.h) reuse one build instead of
 /// reconstructing the maps per rule or per pass.
 ///
@@ -85,6 +92,12 @@ class AnalysisContext {
   /// Valid only for c < components() and h < hosts().
   [[nodiscard]] bool allowed(std::size_t c, std::size_t h) const {
     return (rows_[c * words_ + h / 64] >> (h % 64)) & 1u;
+  }
+  /// Component c's allow-mask row: hosts() bits, word-packed little-endian,
+  /// tail bits clear. Valid only for c < components().
+  [[nodiscard]] std::span<const std::uint64_t> allowed_row(
+      std::size_t c) const {
+    return {rows_.data() + c * words_, words_};
   }
   /// Number of legal hosts for component c.
   [[nodiscard]] std::size_t allowed_count(std::size_t c) const;

@@ -48,6 +48,33 @@ bool ConstraintSet::host_allowed(ComponentId c, HostId h) const {
   return std::count(it->second.begin(), it->second.end(), h) > 0;
 }
 
+std::vector<std::uint64_t> allowed_host_masks(const ConstraintSet& set,
+                                              std::size_t n, std::size_t k) {
+  const std::size_t words = (k + 63) / 64;
+  // Default-allow fill, then direct rule application: the difference
+  // between milliseconds and minutes at fleet scale (10k components x 1k
+  // hosts x dozens of location rules).
+  std::vector<std::uint64_t> masks(n * words, ~0ULL);
+  if (k % 64 != 0) {
+    // Mask off the bits past the last host so popcount-style consumers and
+    // h >= k queries see "not allowed".
+    const std::uint64_t last_word = (1ULL << (k % 64)) - 1;
+    for (std::size_t c = 0; c < n; ++c)
+      masks[c * words + words - 1] = last_word;
+  }
+  for (const auto& [c, allowed] : set.allow_lists()) {
+    if (c >= n) continue;
+    std::fill_n(masks.begin() + static_cast<std::ptrdiff_t>(c * words), words,
+                0ULL);
+    for (const HostId h : allowed)
+      if (h < k) masks[c * words + h / 64] |= 1ULL << (h % 64);
+  }
+  // Forbidden pairs win over allow-lists, matching ConstraintSet semantics.
+  for (const auto& [c, h] : set.forbidden_hosts())
+    if (c < n && h < k) masks[c * words + h / 64] &= ~(1ULL << (h % 64));
+  return masks;
+}
+
 std::string_view to_string(Violation::Kind kind) noexcept {
   switch (kind) {
     case Violation::Kind::kUnassigned: return "unassigned";
@@ -67,33 +94,10 @@ ConstraintChecker::ConstraintChecker(const DeploymentModel& model,
       set_(set),
       options_(options),
       words_per_row_((model.host_count() + 63) / 64) {
-  const std::size_t n = model.component_count();
-  const std::size_t k = model.host_count();
-  if (k == 0) throw std::invalid_argument("ConstraintChecker: no hosts");
-  // Default-allow fill, then direct rule application: O(n * k / 64 + rules)
-  // instead of n * k calls into the O(rules) ConstraintSet::host_allowed —
-  // the difference between milliseconds and minutes at fleet scale
-  // (10k components x 1k hosts x dozens of location rules).
-  allowed_masks_.assign(n * words_per_row_, ~0ULL);
-  if (k % 64 != 0) {
-    // Mask off the bits past the last host so popcount-style consumers and
-    // host_allowed(h >= k) queries see "not allowed".
-    const std::uint64_t last_word = (1ULL << (k % 64)) - 1;
-    for (std::size_t c = 0; c < n; ++c)
-      allowed_masks_[c * words_per_row_ + words_per_row_ - 1] = last_word;
-  }
-  for (const auto& [c, hosts] : set.allowed_) {
-    if (c >= n) continue;
-    std::fill_n(allowed_masks_.begin() +
-                    static_cast<std::ptrdiff_t>(c * words_per_row_),
-                words_per_row_, 0ULL);
-    for (const HostId h : hosts)
-      if (h < k) allowed_masks_[c * words_per_row_ + h / 64] |= 1ULL << (h % 64);
-  }
-  // Forbidden pairs win over allow-lists, matching ConstraintSet semantics.
-  for (const auto& [c, h] : set.forbidden_)
-    if (c < n && h < k)
-      allowed_masks_[c * words_per_row_ + h / 64] &= ~(1ULL << (h % 64));
+  if (model.host_count() == 0)
+    throw std::invalid_argument("ConstraintChecker: no hosts");
+  allowed_masks_ = allowed_host_masks(set, model.component_count(),
+                                      model.host_count());
 }
 
 double ConstraintChecker::host_free_memory(const Deployment& d,

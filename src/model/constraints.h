@@ -64,7 +64,6 @@ class ConstraintSet {
   }
 
  private:
-  friend class ConstraintChecker;
   /// component -> explicit allow-list (absent = all hosts allowed)
   std::vector<std::pair<ComponentId, std::vector<HostId>>> allowed_;
   /// (component, host) forbidden pairs
@@ -72,6 +71,16 @@ class ConstraintSet {
   std::vector<std::pair<ComponentId, ComponentId>> must_pairs_;
   std::vector<std::pair<ComponentId, ComponentId>> anti_pairs_;
 };
+
+/// Compiles the location rules of `set` into component-major allowed-host
+/// bitmask rows: row c spans (hosts + 63) / 64 words, and bit h of row c is
+/// set iff set.host_allowed(c, h) for c < components and h < hosts. Bits past
+/// the last host are clear. Costs O(components * hosts / 64 + rules) instead
+/// of components * hosts calls into the O(rules) host_allowed. Rules naming
+/// components >= `components` or hosts >= `hosts` are ignored; hosts == 0
+/// yields empty rows.
+[[nodiscard]] std::vector<std::uint64_t> allowed_host_masks(
+    const ConstraintSet& set, std::size_t components, std::size_t hosts);
 
 /// A single constraint violation, for diagnostics and DeSi display.
 struct Violation {

@@ -200,6 +200,18 @@ class DeploymentModel {
   [[nodiscard]] const LogicalLink& logical_link(ComponentId a,
                                                 ComponentId b) const;
 
+  /// Visits every stored logical link as visit(a, b, link) with a < b, in
+  /// storage (hash) order — O(stored links), not O(n^2). Unlike
+  /// interactions() it does not filter on frequency > 0, so validators see
+  /// negative and NaN entries too; callers needing a deterministic order
+  /// collect and sort.
+  template <typename Visit>
+  void for_each_logical_link(Visit&& visit) const {
+    for (const auto& [key, link] : logical_)
+      visit(static_cast<ComponentId>(key >> 32),
+            static_cast<ComponentId>(key & 0xffffffffu), link);
+  }
+
   /// All component pairs with frequency > 0. Cached; invalidated on change.
   [[nodiscard]] std::span<const Interaction> interactions() const;
 

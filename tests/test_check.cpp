@@ -7,6 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <limits>
+#include <memory>
+#include <sstream>
+#include <utility>
 
 #include "check/preflight.h"
 #include "desi/algorithm_container.h"
@@ -411,6 +416,118 @@ TEST(CheckRegionSpof, SilentOnUnzonedModelsAndWhenDisabled) {
   CheckOptions options;
   options.region_awareness = false;
   EXPECT_FALSE(run_checks(zoned, confined, options).has(Rule::kRegionSpof));
+}
+
+// --- golden diagnostics ----------------------------------------------------
+
+constexpr std::size_t kGoldenHosts = 70;
+
+/// A generated fleet whose host count (70) is not a multiple of 64, zoned in
+/// three regions, with 64 location, 32 collocation and 32 separation
+/// constraints, plus one injected defect of each kind the param-range,
+/// location, capacity, network and lint rules report. The logical-link
+/// defects are inserted in descending pair order so the model's hash order
+/// differs from the canonical order the diagnostics must appear in.
+std::unique_ptr<desi::SystemData> golden_system(std::uint64_t seed,
+                                                bool model_cpu) {
+  desi::GeneratorSpec spec;
+  spec.hosts = kGoldenHosts;
+  spec.components = 96;
+  spec.regions = 3;
+  spec.interaction_density = 0.05;
+  spec.location_constraints = 64;
+  spec.colocation_pairs = 32;
+  spec.anti_colocation_pairs = 32;
+  if (model_cpu) {
+    spec.host_cpu = {50.0, 100.0};
+    spec.component_cpu = {1.0, 2.0};
+  }
+  auto system = desi::Generator::generate(spec, seed);
+  DeploymentModel& m = system->model();
+  ConstraintSet& cs = system->constraints();
+  const double nan = std::nan("");
+
+  m.set_link_reliability(1, 2, nan);
+  m.set_link_reliability(3, 5, 1.5);
+  m.set_link_bandwidth(7, 11, -20.0);
+  m.set_physical_link(13, 68,  // second mask word
+                      {.reliability = 0.9, .bandwidth = 50.0, .delay_ms = -4.0,
+                       .properties = {}});
+  // Zero reliability and negative bandwidth read as an absent link.
+  m.set_physical_link(20, 21,
+                      {.reliability = 0.0, .bandwidth = -5.0, .delay_ms = -1.0,
+                       .properties = {}});
+  for (HostId h = 0; h < kGoldenHosts; ++h)
+    if (h != 66) m.clear_physical_link(h, 66);  // isolated host
+
+  m.set_logical_link(
+      90, 95, {.frequency = -1.0, .avg_event_size = 0.5, .properties = {}});
+  m.set_logical_link(
+      40, 80, {.frequency = nan, .avg_event_size = 1.0, .properties = {}});
+  m.set_logical_link(
+      10, 60, {.frequency = 2.0, .avg_event_size = -0.25, .properties = {}});
+  m.set_logical_link(2, 3,
+                     {.frequency = std::numeric_limits<double>::infinity(),
+                      .avg_event_size = nan, .properties = {}});
+  m.set_logical_link(
+      5, 6, {.frequency = 0.0, .avg_event_size = 0.0, .properties = {}});
+
+  // Pigeonhole defects on an allow-listed component (17, 18) and on one
+  // every host may take (22), so both best-legal-host paths are covered.
+  m.component(17).memory_size = 2000.0;
+  m.component(22).memory_size = 1000.0;
+  if (model_cpu) {
+    m.component(18).cpu_load = 500.0;
+    m.component(22).cpu_load = 400.0;
+  }
+  m.host(69).memory_capacity = 0.5;  // useless host
+
+  cs.allow_only(30, {4, kGoldenHosts + 3});  // dangling allow-list host
+  cs.pin(31, 4);
+  cs.forbid_host(31, 4);  // the forbid overrides the pin
+  cs.pin(32, 9);          // confined to one region
+  cs.forbid_host(98, 0);  // dangling component
+  // An interaction whose endpoints sit on opposite sides of the isolated
+  // host's partition.
+  const model::Interaction ix = m.interactions().front();
+  cs.pin(ix.a, 66);
+  cs.pin(ix.b, 0);
+  return system;
+}
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(DIF_GOLDEN_DIR) + "/check/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing golden file " << name;
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// The text and JSON renderings of the full rule set and of the pre-flight
+// rule set, pinned byte for byte: faster rule implementations must report
+// the same diagnostics in the same order.
+TEST(CheckGolden, DiagnosticsAreByteIdentical) {
+  for (const auto& [seed, model_cpu] :
+       {std::pair<std::uint64_t, bool>{3, false}, {11, true}}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const auto system = golden_system(seed, model_cpu);
+    const DeploymentModel& m = system->model();
+    const ConstraintSet& cs = system->constraints();
+    const AnalysisContext context(m, cs);
+    ASSERT_EQ(context.allowed_count(22), kGoldenHosts);
+    ASSERT_LT(context.allowed_count(17), kGoldenHosts);
+
+    const std::string prefix = "seed" + std::to_string(seed) + "_";
+    for (const auto& [name, report] :
+         {std::pair{std::string("run_checks"), run_checks(m, cs)},
+          std::pair{std::string("preflight"), preflight_report(m, cs)}}) {
+      EXPECT_EQ(report.render_text(), read_golden(prefix + name + ".txt"))
+          << name;
+      EXPECT_EQ(report.to_json().dump(2), read_golden(prefix + name + ".json"))
+          << name;
+    }
+  }
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "check/static_analyzer.h"
 #include "model/deployment_model.h"
+#include "util/rng.h"
 
 namespace dif::model {
 namespace {
@@ -290,6 +292,69 @@ TEST_P(CompiledMaskTest, MatchesRuleLevelAnswer) {
 
 INSTANTIATE_TEST_SUITE_P(HostCounts, CompiledMaskTest,
                          ::testing::Values(1, 2, 63, 64, 65, 130));
+
+
+// The one allow-mask builder (allowed_host_masks) against the rule-level
+// ConstraintSet::host_allowed, through both consumers of its rows, on
+// randomized rule sets: pins, forbids overlapping allow-lists (the forbid
+// wins), allow-lists naming hosts >= k and rules on component ids >= n.
+TEST(AllowedHostMasks, MatchRuleLevelHostAllowedOnRandomRuleSets) {
+  constexpr std::size_t kComponents = 24;
+  for (const std::size_t hosts : {0, 1, 63, 64, 65, 130}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("k=" + std::to_string(hosts) + " seed=" +
+                   std::to_string(seed));
+      util::Xoshiro256ss rng(seed * 1000 + hosts);
+      const auto any_component = [&] {
+        return static_cast<ComponentId>(rng.index(kComponents + 4));
+      };
+      const auto any_host = [&] {
+        return static_cast<HostId>(rng.index(hosts + 6));
+      };
+      const DeploymentModel m = make_model(hosts, kComponents);
+      ConstraintSet cs;
+      for (int i = 0; i < 10; ++i) {
+        std::vector<HostId> allowed(1 + rng.index(5));
+        for (HostId& h : allowed) h = any_host();
+        cs.allow_only(any_component(), std::move(allowed));
+      }
+      for (int i = 0; i < 6; ++i) cs.pin(any_component(), any_host());
+      for (int i = 0; i < 8; ++i) cs.forbid_host(any_component(), any_host());
+      // Forbids on hosts an allow-list (or pin) names.
+      for (const auto& [c, allowed] : cs.allow_lists())
+        if (rng.chance(0.5))
+          cs.forbid_host(c, allowed[rng.index(allowed.size())]);
+
+      const std::vector<std::uint64_t> rows =
+          allowed_host_masks(cs, kComponents, hosts);
+      const std::size_t words = (hosts + 63) / 64;
+      ASSERT_EQ(rows.size(), kComponents * words);
+      const check::AnalysisContext context(m, cs);
+      for (std::size_t c = 0; c < kComponents; ++c) {
+        std::size_t legal = 0;
+        for (std::size_t h = 0; h < hosts; ++h) {
+          const bool expected = cs.host_allowed(static_cast<ComponentId>(c),
+                                                static_cast<HostId>(h));
+          legal += expected ? 1 : 0;
+          EXPECT_EQ(context.allowed(c, h), expected) << "c=" << c << " h=" << h;
+        }
+        EXPECT_EQ(context.allowed_count(c), legal) << "c=" << c;
+        for (std::size_t h = hosts; h < words * 64; ++h)
+          EXPECT_EQ((rows[c * words + h / 64] >> (h % 64)) & 1u, 0u)
+              << "tail bit c=" << c << " h=" << h;
+      }
+      if (hosts == 0) continue;  // the checker requires a host
+      const ConstraintChecker checker(m, cs);
+      for (std::size_t c = 0; c < kComponents; ++c)
+        for (std::size_t h = 0; h < hosts; ++h)
+          EXPECT_EQ(checker.host_allowed(static_cast<ComponentId>(c),
+                                         static_cast<HostId>(h)),
+                    cs.host_allowed(static_cast<ComponentId>(c),
+                                    static_cast<HostId>(h)))
+              << "c=" << c << " h=" << h;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace dif::model
