@@ -52,7 +52,7 @@ AdminComponent::AdminComponent(
 
 void AdminComponent::on_attached() {
   architecture()->set_undeliverable_handler(
-      [this](const Event& event) { on_undeliverable(event); });
+      [this](Event&& event) { on_undeliverable(std::move(event)); });
 }
 
 void AdminComponent::send_to_deployer(Event event) {
@@ -679,17 +679,17 @@ void AdminComponent::handle_location_update(const Event& event) {
   flush_buffer(*component);
 }
 
-void AdminComponent::on_undeliverable(const Event& event) {
+void AdminComponent::on_undeliverable(Event event) {
   if (crashed_) return;  // a dead process buffers nothing
   if (event.to().empty() || event.to() == name()) return;
   const std::optional<model::HostId> where = connector_.location(event.to());
   if (where && *where != host_) {
-    connector_.resend(event);  // chase the component to its new host
+    connector_.resend(std::move(event));  // chase it to its new host
     return;
   }
   std::deque<Event>& buffer = buffers_[event.to()];
   if (buffer.size() >= kMaxBufferedPerComponent) buffer.pop_front();
-  buffer.push_back(event);
+  buffer.push_back(std::move(event));
 }
 
 void AdminComponent::flush_buffer(const std::string& component) {

@@ -177,7 +177,7 @@ class AdminComponent : public Component {
   void handle_request_component(const Event& event);
   void handle_component_transfer(const Event& event);
   void handle_location_update(const Event& event);
-  void on_undeliverable(const Event& event);
+  void on_undeliverable(Event event);
   void flush_buffer(const std::string& component);
 
   model::HostId host_;

@@ -105,13 +105,20 @@ double Architecture::total_memory_kb() const {
 }
 
 void Architecture::post_to(const std::string& component, const Event& event) {
-  scaffold_.dispatch([this, component, event] {
-    if (Component* target = find_component(component)) {
-      target->deliver(event);
-    } else if (undeliverable_) {
-      undeliverable_(event);
-    }
-  });
+  post_to(component, Event(event));
+}
+
+void Architecture::post_to(const std::string& component, Event&& event) {
+  // Copy the name before the event is moved: it may alias event.to().
+  std::string name = component;
+  scaffold_.dispatch(
+      [this, name = std::move(name), event = std::move(event)]() mutable {
+        if (Component* target = find_component(name)) {
+          target->deliver(event);
+        } else if (undeliverable_) {
+          undeliverable_(std::move(event));
+        }
+      });
 }
 
 }  // namespace dif::prism

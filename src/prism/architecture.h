@@ -63,9 +63,15 @@ class Architecture final : public Brick {
   /// the meantime, the undeliverable handler (if any) gets the event — this
   /// is the hook AdminComponent uses to buffer events during migration.
   void post_to(const std::string& component, const Event& event);
+  /// As above, moving `event` into the dispatch closure instead of copying
+  /// it (events deserialized off the network are posted this way).
+  /// `component` may refer into `event` (e.g. event.to()).
+  void post_to(const std::string& component, Event&& event);
 
   /// Handler for events whose destination vanished (migration buffering).
-  using UndeliverableHandler = std::function<void(const Event&)>;
+  /// It gets the dispatch closure's event as an rvalue, so it can keep or
+  /// resend it without a copy.
+  using UndeliverableHandler = std::function<void(Event&&)>;
   void set_undeliverable_handler(UndeliverableHandler handler) {
     undeliverable_ = std::move(handler);
   }

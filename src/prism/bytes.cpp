@@ -3,11 +3,15 @@
 namespace dif::prism {
 
 void ByteWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back((v >> (8 * i)) & 0xff);
+  std::uint8_t le[4];
+  for (int i = 0; i < 4; ++i) le[i] = (v >> (8 * i)) & 0xff;
+  buf_.insert(buf_.end(), le, le + 4);
 }
 
 void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back((v >> (8 * i)) & 0xff);
+  std::uint8_t le[8];
+  for (int i = 0; i < 8; ++i) le[i] = (v >> (8 * i)) & 0xff;
+  buf_.insert(buf_.end(), le, le + 8);
 }
 
 void ByteWriter::f64(double v) {

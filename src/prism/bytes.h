@@ -21,6 +21,10 @@ class DecodeError : public std::runtime_error {
 /// Append-only binary writer.
 class ByteWriter {
  public:
+  /// Pre-sizes the buffer for `bytes` more bytes (callers that know the
+  /// exact encoded size reserve once instead of growing per write).
+  void reserve(std::size_t bytes) { buf_.reserve(buf_.size() + bytes); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);

@@ -54,29 +54,30 @@ std::optional<model::HostId> DistributionConnector::location(
 
 void DistributionConnector::forward_remote(const Event& event,
                                            model::HostId destination) {
-  Event remote = event;
-  remote.set(kRemoteMark, true);
+  // The remote mark is applied while encoding, not on a copy of the event.
+  const ParamValue mark{true};
   sim::NetMessage message;
   message.from = host_;
   message.to = destination;
   message.channel = kEventChannel;
-  message.payload = remote.serialize();
+  message.payload = event.serialize_with(kRemoteMark, mark);
   // Bandwidth accounting: events that carry a whole component are charged
   // the component's memory footprint, not just the serialized control
   // state (the real Prism-MW ships code + heap image; our simulated
   // components only materialize a token state blob).
-  message.size_kb = std::max(remote.size_kb(),
-                             remote.get_double("memory_kb").value_or(0.0));
-  if (network_.send(message)) return;
-  if (store_and_forward_) {
-    // Queue for the disconnected peer; retried until the link returns.
-    std::deque<sim::NetMessage>& queue = queues_[destination];
-    if (queue.size() >= max_queued_) queue.pop_front();
-    queue.push_back(std::move(message));
-    schedule_flush();
-  } else {
-    ++undeliverable_remote_;
+  message.size_kb = std::max(event.size_kb_with(kRemoteMark, mark),
+                             event.get_double("memory_kb").value_or(0.0));
+  if (!store_and_forward_) {
+    if (!network_.send(std::move(message))) ++undeliverable_remote_;
+    return;
   }
+  // Store-and-forward sends a copy: the message is queued if the link is
+  // down, and retried until it returns.
+  if (network_.send(message)) return;
+  std::deque<sim::NetMessage>& queue = queues_[destination];
+  if (queue.size() >= max_queued_) queue.pop_front();
+  queue.push_back(std::move(message));
+  schedule_flush();
 }
 
 void DistributionConnector::enable_store_and_forward(double retry_interval_ms,
@@ -177,6 +178,7 @@ void DistributionConnector::send_ping(model::HostId peer,
   message.to = peer;
   message.channel = kPingChannel;
   ByteWriter w;
+  w.reserve(8);
   w.u64(ping_id);
   message.payload = w.take();
   message.size_kb = 0.05;  // tiny probe
@@ -209,7 +211,7 @@ void DistributionConnector::on_net_message(const sim::NetMessage& message) {
   if (!event.to().empty()) {
     // post_to re-resolves at dispatch; a missing destination lands in the
     // architecture's undeliverable handler (admin buffering / re-routing).
-    architecture()->post_to(event.to(), event);
+    architecture()->post_to(event.to(), std::move(event));
   } else {
     deliver_locally(event, nullptr);
   }

@@ -54,34 +54,96 @@ const std::vector<std::uint8_t>* Event::get_bytes(std::string_view key) const {
   return v ? std::get_if<std::vector<std::uint8_t>>(v) : nullptr;
 }
 
-double Event::size_kb() const {
+namespace {
+
+/// Calls fn(key, value) for each parameter of `params` with `override`
+/// applied as Event::set would apply it: the first parameter named
+/// override.key takes override.value, else the pair comes last.
+template <typename Params, typename Override, typename Fn>
+void for_each_param(const Params& params, const Override& override, Fn fn) {
+  bool pending = override.value != nullptr;
+  for (const auto& [key, value] : params) {
+    if (pending && key == override.key) {
+      fn(std::string_view(key), *override.value);
+      pending = false;
+    } else {
+      fn(std::string_view(key), value);
+    }
+  }
+  if (pending) fn(override.key, *override.value);
+}
+
+/// Bytes a value's payload adds beyond its type tag.
+std::size_t payload_size(const ParamValue& value) {
+  switch (value.index()) {
+    case 0: return 1;
+    case 1: return 8;
+    case 2: return 4 + std::get<std::string>(value).size();
+    default: return 4 + std::get<std::vector<std::uint8_t>>(value).size();
+  }
+}
+
+}  // namespace
+
+double Event::size_kb() const { return size_kb(Override{}); }
+
+double Event::size_kb_with(std::string_view key,
+                           const ParamValue& value) const {
+  return size_kb(Override{key, &value});
+}
+
+double Event::size_kb(Override override) const {
   // Header + param payload; close enough for bandwidth accounting.
   std::size_t bytes = name_.size() + to_.size() + from_.size() + 16;
-  for (const auto& [key, value] : params_) {
-    bytes += key.size() + 8;
-    if (const auto* s = std::get_if<std::string>(&value)) bytes += s->size();
-    if (const auto* b = std::get_if<std::vector<std::uint8_t>>(&value))
-      bytes += b->size();
-  }
+  for_each_param(params_, override,
+                 [&](std::string_view key, const ParamValue& value) {
+                   bytes += key.size() + 8;
+                   if (const auto* s = std::get_if<std::string>(&value))
+                     bytes += s->size();
+                   if (const auto* b =
+                           std::get_if<std::vector<std::uint8_t>>(&value))
+                     bytes += b->size();
+                 });
   return static_cast<double>(bytes) / 1024.0;
 }
 
 std::vector<std::uint8_t> Event::serialize() const {
+  return encode(Override{});
+}
+
+std::vector<std::uint8_t> Event::serialize_with(std::string_view key,
+                                                const ParamValue& value) const {
+  return encode(Override{key, &value});
+}
+
+std::vector<std::uint8_t> Event::encode(Override override) const {
+  // Sizing pass first, so the buffer is allocated once at its final size.
+  std::uint32_t count = 0;
+  std::size_t size = 3 * 4 + name_.size() + to_.size() + from_.size() + 4;
+  for_each_param(params_, override,
+                 [&](std::string_view key, const ParamValue& value) {
+                   ++count;
+                   size += 4 + key.size() + 1 + payload_size(value);
+                 });
   ByteWriter w;
+  w.reserve(size);
   w.str(name_);
   w.str(to_);
   w.str(from_);
-  w.u32(static_cast<std::uint32_t>(params_.size()));
-  for (const auto& [key, value] : params_) {
-    w.str(key);
-    w.u8(static_cast<std::uint8_t>(value.index()));
-    switch (value.index()) {
-      case 0: w.u8(std::get<bool>(value) ? 1 : 0); break;
-      case 1: w.f64(std::get<double>(value)); break;
-      case 2: w.str(std::get<std::string>(value)); break;
-      case 3: w.bytes(std::get<std::vector<std::uint8_t>>(value)); break;
-    }
-  }
+  w.u32(count);
+  for_each_param(params_, override,
+                 [&](std::string_view key, const ParamValue& value) {
+                   w.str(key);
+                   w.u8(static_cast<std::uint8_t>(value.index()));
+                   switch (value.index()) {
+                     case 0: w.u8(std::get<bool>(value) ? 1 : 0); break;
+                     case 1: w.f64(std::get<double>(value)); break;
+                     case 2: w.str(std::get<std::string>(value)); break;
+                     case 3:
+                       w.bytes(std::get<std::vector<std::uint8_t>>(value));
+                       break;
+                   }
+                 });
   return w.take();
 }
 
@@ -91,6 +153,11 @@ Event Event::deserialize(std::span<const std::uint8_t> data) {
   event.to_ = r.str();
   event.from_ = r.str();
   const std::uint32_t count = r.u32();
+  // Capped by what the input can hold (a parameter takes at least
+  // kMinParamBytes), so a bogus count fails in decoding, not in reserve().
+  constexpr std::size_t kMinParamBytes = 4 + 1 + 1;  // empty key, bool
+  event.params_.reserve(
+      std::min<std::size_t>(count, r.remaining() / kMinParamBytes));
   for (std::uint32_t i = 0; i < count; ++i) {
     std::string key = r.str();
     switch (r.u8()) {

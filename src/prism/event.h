@@ -62,10 +62,29 @@ class Event {
   /// Approximate wire size in KB (used for bandwidth accounting).
   [[nodiscard]] double size_kb() const;
 
+  /// Exact-size encoding: the buffer is reserved once at its final size.
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
   [[nodiscard]] static Event deserialize(std::span<const std::uint8_t> data);
 
+  /// serialize() / size_kb() of a copy of this event after
+  /// set(key, value), without making the copy: the first parameter named
+  /// `key` is encoded with `value`, or (key, value) is appended. The
+  /// DistributionConnector stamps its remote mark this way on every hop.
+  [[nodiscard]] std::vector<std::uint8_t> serialize_with(
+      std::string_view key, const ParamValue& value) const;
+  [[nodiscard]] double size_kb_with(std::string_view key,
+                                    const ParamValue& value) const;
+
  private:
+  /// (key, value) substituted into the parameter list by the *_with
+  /// encodings; `value == nullptr` encodes the parameters as they are.
+  struct Override {
+    std::string_view key;
+    const ParamValue* value = nullptr;
+  };
+  [[nodiscard]] std::vector<std::uint8_t> encode(Override override) const;
+  [[nodiscard]] double size_kb(Override override) const;
+
   std::string name_;
   std::string to_;
   std::string from_;

@@ -24,6 +24,13 @@ EvtFrequencyMonitor::EvtFrequencyMonitor(const IScaffold& scaffold,
       retain_windows_(retain_windows),
       window_start_ms_(scaffold.now_ms()) {}
 
+void EvtFrequencyMonitor::set_instruments(obs::Instruments instruments) {
+  obs::Registry* r = instruments.metrics;
+  collections_ = r ? &r->counter("monitor.freq.collections") : nullptr;
+  zero_pairs_ = r ? &r->counter("monitor.freq.zero_pairs") : nullptr;
+  pairs_ = r ? &r->gauge("monitor.freq.pairs") : nullptr;
+}
+
 void EvtFrequencyMonitor::on_event_sent(const Brick& brick,
                                         const Event& event) {
   // Directed events are counted at the sender: delivery may fail on a lossy
@@ -85,11 +92,10 @@ EvtFrequencyMonitor::collect() {
     ++it;
   }
   for (const auto& [pair, counter] : counts_) quiet_windows_[pair] = 0;
-  if (obs_.metrics) {
-    obs_.metrics->counter("monitor.freq.collections").add(1);
-    obs_.metrics->counter("monitor.freq.zero_pairs").add(zero_pairs);
-    obs_.metrics->gauge("monitor.freq.pairs").set(
-        static_cast<double>(out.size()));
+  if (collections_) {
+    collections_->add(1);
+    zero_pairs_->add(zero_pairs);
+    pairs_->set(static_cast<double>(out.size()));
   }
   counts_.clear();
   window_start_ms_ = now;
@@ -103,6 +109,14 @@ NetworkReliabilityMonitor::NetworkReliabilityMonitor(
       [this](model::HostId peer, std::uint64_t /*ping_id*/) {
         ++sent_received_[peer].second;
       });
+}
+
+void NetworkReliabilityMonitor::set_instruments(
+    obs::Instruments instruments) {
+  obs::Registry* r = instruments.metrics;
+  pings_ = r ? &r->counter("monitor.rel.pings") : nullptr;
+  collections_ = r ? &r->counter("monitor.rel.collections") : nullptr;
+  peers_ = r ? &r->gauge("monitor.rel.peers") : nullptr;
 }
 
 void NetworkReliabilityMonitor::start() {
@@ -124,7 +138,7 @@ void NetworkReliabilityMonitor::ping_round() {
     for (std::uint32_t i = 0; i < params_.pings_per_round; ++i) {
       connector_.send_ping(peer, next_ping_id_++);
       ++sent_received_[peer].first;
-      if (obs_.metrics) obs_.metrics->counter("monitor.rel.pings").add(1);
+      if (pings_) pings_->add(1);
     }
   }
 }
@@ -132,6 +146,7 @@ void NetworkReliabilityMonitor::ping_round() {
 std::vector<NetworkReliabilityMonitor::PeerReliability>
 NetworkReliabilityMonitor::collect() {
   std::vector<PeerReliability> out;
+  out.reserve(sent_received_.size());
   for (auto& [peer, counters] : sent_received_) {
     auto& [sent, received] = counters;
     if (sent == 0) continue;
@@ -142,10 +157,9 @@ NetworkReliabilityMonitor::collect() {
     sent = 0;
     received = 0;
   }
-  if (obs_.metrics) {
-    obs_.metrics->counter("monitor.rel.collections").add(1);
-    obs_.metrics->gauge("monitor.rel.peers").set(
-        static_cast<double>(out.size()));
+  if (collections_) {
+    collections_->add(1);
+    peers_->set(static_cast<double>(out.size()));
   }
   return out;
 }

@@ -60,9 +60,8 @@ class EvtFrequencyMonitor final : public IMonitor {
   void on_event_sent(const Brick& brick, const Event& event) override;
   void on_event_received(const Brick& brick, const Event& event) override;
 
-  void set_instruments(obs::Instruments instruments) noexcept {
-    obs_ = instruments;
-  }
+  /// Resolves the monitor's metric handles once (none when no registry).
+  void set_instruments(obs::Instruments instruments);
 
   /// One measured interaction: events/second from `from` to `to` over the
   /// last collection window.
@@ -96,7 +95,9 @@ class EvtFrequencyMonitor final : public IMonitor {
   /// retain_windows_.
   std::map<std::pair<std::string, std::string>, std::size_t> quiet_windows_;
   std::uint64_t observed_ = 0;
-  obs::Instruments obs_;
+  obs::Counter* collections_ = nullptr;
+  obs::Counter* zero_pairs_ = nullptr;
+  obs::Gauge* pairs_ = nullptr;
 };
 
 /// Measures link reliability to each peer with the paper's "common pinging
@@ -120,9 +121,8 @@ class NetworkReliabilityMonitor {
   void start();
   void stop() noexcept { running_ = false; }
 
-  void set_instruments(obs::Instruments instruments) noexcept {
-    obs_ = instruments;
-  }
+  /// Resolves the monitor's metric handles once (none when no registry).
+  void set_instruments(obs::Instruments instruments);
 
   struct PeerReliability {
     model::HostId peer;
@@ -145,7 +145,9 @@ class NetworkReliabilityMonitor {
   std::uint64_t next_ping_id_ = 1;
   std::map<model::HostId, std::pair<std::uint64_t, std::uint64_t>>
       sent_received_;
-  obs::Instruments obs_;
+  obs::Counter* pings_ = nullptr;
+  obs::Counter* collections_ = nullptr;
+  obs::Gauge* peers_ = nullptr;
 };
 
 }  // namespace dif::prism

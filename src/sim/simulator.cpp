@@ -32,12 +32,24 @@ std::size_t Simulator::fire_batch(std::size_t limit) {
   now_ = t;
   ++batches_;
   std::size_t fired = 0;
-  while (batch_pos_ < batch_.size()) {
-    auto fn = std::move(batch_[batch_pos_].fn);
-    ++batch_pos_;
-    ++processed_;
-    ++fired;
-    fn();  // may schedule new events or clear() the rest of the batch
+  try {
+    while (batch_pos_ < batch_.size()) {
+      auto fn = std::move(batch_[batch_pos_].fn);
+      ++batch_pos_;
+      ++processed_;
+      ++fired;
+      fn();  // may schedule new events or clear() the rest of the batch
+    }
+  } catch (...) {
+    // A handler threw: hand the unfired rest of the batch back to the heap.
+    // Each keeps its (time, seq), so a later run() fires it in order.
+    for (std::size_t i = batch_pos_; i < batch_.size(); ++i) {
+      heap_.push_back(std::move(batch_[i]));
+      std::push_heap(heap_.begin(), heap_.end(), Later{});
+    }
+    batch_.clear();
+    batch_pos_ = 0;
+    throw;
   }
   batch_.clear();
   batch_pos_ = 0;

@@ -83,7 +83,9 @@ class Simulator {
   /// batch_ and executes it. Returns the number of events fired. Events a
   /// handler schedules at the batch timestamp land behind the drained run
   /// (larger seq) and form the next batch. Not re-entrant: handlers may
-  /// schedule and clear(), but must not call run()/step() recursively.
+  /// schedule and clear(), but must not call run()/step() recursively. If a
+  /// handler throws, the unfired rest of the batch goes back to the heap
+  /// before the exception propagates.
   std::size_t fire_batch(std::size_t limit);
 
   /// Explicit binary heap (std::push_heap / std::pop_heap) ordered by

@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "util/rng.h"
+
 namespace dif::prism {
 namespace {
 
@@ -128,6 +135,127 @@ TEST(Event, EmptyEventSerializes) {
   const Event back = Event::deserialize(Event("").serialize());
   EXPECT_EQ(back.name(), "");
   EXPECT_TRUE(back.params().empty());
+}
+
+// --- wire equivalence of the copy-free encodings ----------------------------
+
+/// One parameter of a randomly generated event; keys may repeat.
+struct RawParam {
+  std::string key;
+  ParamValue value;
+};
+
+std::string random_text(util::Xoshiro256ss& rng, std::size_t max_len) {
+  std::string out(rng.uniform_int(0, max_len), ' ');
+  for (char& c : out) c = static_cast<char>(rng.uniform_int('a', 'z'));
+  return out;
+}
+
+ParamValue random_value(util::Xoshiro256ss& rng) {
+  switch (rng.uniform_int(0, 3)) {
+    case 0: return rng.chance(0.5);
+    case 1: return rng.uniform(-1e6, 1e6);
+    case 2: return random_text(rng, 40);
+    default: {
+      std::vector<std::uint8_t> bytes(rng.uniform_int(0, 300));
+      for (auto& b : bytes)
+        b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+      return bytes;
+    }
+  }
+}
+
+/// A random event built through the wire decoder, so it can hold what
+/// set() alone never produces: duplicate keys (a __remote mark among
+/// them), empty names, and zero parameters.
+Event random_event(util::Xoshiro256ss& rng) {
+  static const std::vector<std::string> kKeys = {
+      "", "__remote", "memory_kb", "payload", "k", "a-much-longer-key-name"};
+  std::vector<RawParam> params(rng.uniform_int(0, 6));
+  for (RawParam& p : params) {
+    p.key = kKeys[rng.index(kKeys.size())];
+    p.value = random_value(rng);
+  }
+  // Half the events carry a bool remote mark (true or false) somewhere.
+  if (!params.empty() && rng.chance(0.5))
+    params[rng.index(params.size())] = {"__remote", rng.chance(0.5)};
+  ByteWriter w;
+  w.str(random_text(rng, 12));
+  w.str(rng.chance(0.3) ? std::string() : random_text(rng, 24));
+  w.str(rng.chance(0.3) ? std::string() : random_text(rng, 24));
+  w.u32(static_cast<std::uint32_t>(params.size()));
+  for (const RawParam& p : params) {
+    w.str(p.key);
+    w.u8(static_cast<std::uint8_t>(p.value.index()));
+    switch (p.value.index()) {
+      case 0: w.u8(std::get<bool>(p.value) ? 1 : 0); break;
+      case 1: w.f64(std::get<double>(p.value)); break;
+      case 2: w.str(std::get<std::string>(p.value)); break;
+      case 3: w.bytes(std::get<std::vector<std::uint8_t>>(p.value)); break;
+    }
+  }
+  const std::vector<std::uint8_t> wire = w.take();
+  Event event = Event::deserialize(wire);
+  EXPECT_EQ(event.serialize(), wire);  // the decoder keeps every parameter
+  return event;
+}
+
+TEST(Event, MarkedSerializationMatchesCopySetSerialize) {
+  util::Xoshiro256ss rng(20260417);
+  const std::vector<std::string> marks = {"__remote", "", "payload", "new"};
+  for (int trial = 0; trial < 2000; ++trial) {
+    const Event event = random_event(rng);
+    const std::string& key = marks[trial % marks.size()];
+    const ParamValue value =
+        key == "__remote" ? ParamValue(rng.chance(0.5)) : random_value(rng);
+    Event copy = event;
+    copy.set(key, value);
+    ASSERT_EQ(event.serialize_with(key, value), copy.serialize())
+        << "trial " << trial << " key '" << key << "'";
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(event.size_kb_with(key, value)),
+              std::bit_cast<std::uint64_t>(copy.size_kb()))
+        << "trial " << trial;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(event.size_kb()),
+              std::bit_cast<std::uint64_t>(
+                  Event::deserialize(event.serialize()).size_kb()));
+  }
+}
+
+TEST(Event, MarkedSerializationOfAnEmptyEventAppendsTheMark) {
+  const Event empty("");
+  Event copy = empty;
+  copy.set("__remote", true);
+  EXPECT_EQ(empty.serialize_with("__remote", true), copy.serialize());
+  EXPECT_TRUE(
+      *Event::deserialize(empty.serialize_with("__remote", true))
+           .get_bool("__remote"));
+}
+
+TEST(Event, SerializeReservesExactSize) {
+  util::Xoshiro256ss rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    const Event event = random_event(rng);
+    const std::vector<std::uint8_t> plain = event.serialize();
+    EXPECT_EQ(plain.capacity(), plain.size());
+    const std::vector<std::uint8_t> marked =
+        event.serialize_with("__remote", true);
+    EXPECT_EQ(marked.capacity(), marked.size());
+  }
+}
+
+TEST(Event, DeserializeRejectsBogusParamCount) {
+  // A header that claims 2^32 - 1 parameters: the parameter-list reserve is
+  // capped by the bytes actually present, so decoding fails cleanly.
+  for (const std::size_t trailing : {0u, 1u, 6u, 64u}) {
+    ByteWriter w;
+    w.str("evt");
+    w.str("dst");
+    w.str("src");
+    w.u32(0xFFFFFFFFu);
+    for (std::size_t i = 0; i < trailing; ++i) w.u8(0);
+    const std::vector<std::uint8_t> wire = w.take();
+    EXPECT_THROW(Event::deserialize(wire), DecodeError) << trailing;
+  }
 }
 
 }  // namespace

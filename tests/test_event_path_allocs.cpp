@@ -1,0 +1,159 @@
+// Count-based gate on the Prism event hot path: heap allocations per
+// directed application event sent from a component on one host to a
+// component on another, through two DistributionConnectors on a 2-host
+// SimNetwork (serialize → send → deliver → deserialize → dispatch).
+//
+// Wall-clock floors swing with the machine; allocation counts do not. This
+// binary replaces the global operator new with a counting one (the same
+// technique as perfbench's alloc_counter, kept as a separate copy so the
+// benchmark stays untouched) and pins the per-event count.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <vector>
+
+#include "prism/architecture.h"
+#include "prism/distribution.h"
+#include "sim/network.h"
+#include "sim/simulator.h"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted(void* p) {
+  if (p == nullptr) throw std::bad_alloc();
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return p;
+}
+
+void* counted_aligned(std::size_t size, std::align_val_t align) {
+  const auto a = static_cast<std::size_t>(align);
+  const std::size_t rounded = (size + a - 1) / a * a;
+  return counted(std::aligned_alloc(a, rounded == 0 ? a : rounded));
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  return counted(std::malloc(size == 0 ? 1 : size));
+}
+void* operator new[](std::size_t size) {
+  return counted(std::malloc(size == 0 ? 1 : size));
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_aligned(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_aligned(size, align);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
+namespace dif::prism {
+namespace {
+
+class Sink final : public Component {
+ public:
+  explicit Sink(std::string name) : Component(std::move(name)) {}
+  void handle(const Event& event) override {
+    ++received;
+    payload_bytes += event.get_bytes("payload")->size();
+  }
+  [[nodiscard]] std::string type_name() const override { return "sink"; }
+  std::uint64_t received = 0;
+  std::uint64_t payload_bytes = 0;
+};
+
+/// Hosts 0 and 1 on one reliable link; component "src" on host 0 sends to
+/// component "dst" on host 1.
+struct TwoHosts {
+  sim::Simulator sim;
+  sim::SimNetwork net{sim, 2, /*seed=*/1};
+  SimScaffold scaffold{sim};
+  std::vector<std::unique_ptr<Architecture>> archs;
+  Sink* src = nullptr;
+  Sink* dst = nullptr;
+
+  TwoHosts() {
+    net.set_link(0, 1, {.reliability = 1.0, .bandwidth = 1e6, .delay_ms = 1});
+    std::vector<DistributionConnector*> d;
+    for (model::HostId h = 0; h < 2; ++h) {
+      archs.push_back(std::make_unique<Architecture>(
+          "arch" + std::to_string(h), scaffold, h));
+      d.push_back(&static_cast<DistributionConnector&>(
+          archs[h]->add_connector(std::make_unique<DistributionConnector>(
+              "d" + std::to_string(h), net, h))));
+    }
+    src = &static_cast<Sink&>(
+        archs[0]->add_component(std::make_unique<Sink>("src")));
+    dst = &static_cast<Sink&>(
+        archs[1]->add_component(std::make_unique<Sink>("dst")));
+    archs[0]->weld(*src, *d[0]);
+    archs[1]->weld(*dst, *d[1]);
+    d[0]->add_peer(1);
+    d[1]->add_peer(0);
+    d[0]->set_location("dst", 1);
+  }
+
+  /// Sends `count` pre-built ~1 KB app events one at a time, running the
+  /// simulator after each; returns the allocations made while doing so.
+  std::uint64_t send(std::size_t count) {
+    std::vector<Event> events;
+    events.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      Event e("app.data");
+      e.set_to("dst");
+      e.set("seq", static_cast<double>(i));
+      e.set("payload", std::vector<std::uint8_t>(1024, 0x5a));
+      events.push_back(std::move(e));
+    }
+    const std::uint64_t before = g_allocations.load();
+    for (Event& e : events) {
+      src->send(std::move(e));
+      sim.run();
+    }
+    return g_allocations.load() - before;
+  }
+};
+
+// Measured with this test: 5 allocations per event — the exact-size wire
+// buffer, the network-delivery closure, the deserialized event's parameter
+// list and payload bytes, and the dispatch closure the event is moved into.
+// Before the path was made copy-free it made 23.
+constexpr double kMaxAllocsPerEvent = 5.0;
+
+TEST(EventPathAllocs, DirectedRemoteEventStaysWithinCount) {
+  TwoHosts fixture;
+  // Warm-up: lets the simulator heap, dispatch batch and receiver-side
+  // containers reach their steady capacity before counting.
+  fixture.send(64);
+  ASSERT_EQ(fixture.dst->received, 64u);
+
+  constexpr std::size_t kEvents = 1000;
+  const std::uint64_t allocations = fixture.send(kEvents);
+  ASSERT_EQ(fixture.dst->received, 64u + kEvents);
+  EXPECT_EQ(fixture.dst->payload_bytes, (64u + kEvents) * 1024u);
+  const double per_event =
+      static_cast<double>(allocations) / static_cast<double>(kEvents);
+  RecordProperty("allocs_per_event", std::to_string(per_event));
+  EXPECT_LE(per_event, kMaxAllocsPerEvent)
+      << allocations << " allocations for " << kEvents << " events";
+}
+
+}  // namespace
+}  // namespace dif::prism

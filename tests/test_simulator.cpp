@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 namespace dif::sim {
 namespace {
 
@@ -168,6 +171,30 @@ TEST(Simulator, ClearInsideHandlerDropsRestOfBatch) {
   sim.run();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, ThrowingHandlerLeavesRestOfBatchRunnable) {
+  // Three events share t=5; the second throws. The third must not be
+  // stranded in the drained batch: a later run() fires it, and before the
+  // event the thrower scheduled at t=5, because it keeps its smaller
+  // sequence number.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(5.0, [&] { order.push_back(1); });
+  sim.schedule_at(5.0, [&] {
+    order.push_back(2);
+    sim.schedule_at(5.0, [&] { order.push_back(4); });
+    throw std::runtime_error("handler failure");
+  });
+  sim.schedule_at(5.0, [&] { order.push_back(3); });
+  sim.schedule_at(7.0, [&] { order.push_back(5); });
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sim.pending(), 3u);
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_DOUBLE_EQ(sim.now(), 7.0);
 }
 
 TEST(Simulator, BatchedDispatchIsDeterministic) {
