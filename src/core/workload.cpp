@@ -6,7 +6,9 @@ WorkloadComponent::WorkloadComponent(std::string name, double memory_kb,
                                      std::vector<Link> links)
     : prism::Component(std::move(name)),
       memory_kb_(memory_kb),
-      links_(std::move(links)) {}
+      links_(std::move(links)) {
+  intern_peers();
+}
 
 WorkloadComponent::WorkloadComponent(std::string name)
     : prism::Component(std::move(name)) {}
@@ -43,6 +45,13 @@ void WorkloadComponent::restore_state(prism::ByteReader& reader) {
     link.size_kb = reader.f64();
     links_.push_back(std::move(link));
   }
+  intern_peers();
+}
+
+void WorkloadComponent::intern_peers() {
+  peer_ids_.clear();
+  peer_ids_.reserve(links_.size());
+  for (const Link& link : links_) peer_ids_.push_back(prism::intern(link.peer));
 }
 
 void WorkloadComponent::start() {
@@ -65,11 +74,11 @@ void WorkloadComponent::schedule_link(std::size_t index) {
   const Link& link = links_[index];
   if (link.frequency <= 0.0) return;
   const double interval_ms = 1000.0 / link.frequency;
-  // The callback re-resolves the component by name: after a migration this
-  // instance is destroyed, and the chain must die (the migrant restarts its
-  // own chain with a newer epoch).
+  // The callback re-resolves the component by name (id): after a migration
+  // this instance is destroyed, and the chain must die (the migrant restarts
+  // its own chain with a newer epoch).
   prism::Architecture* arch = architecture();
-  const std::string self = name();
+  const prism::NameId self = name_id();
   const std::uint64_t epoch = epoch_;
   arch->scaffold().schedule(interval_ms, [arch, self, epoch, index] {
     auto* component = dynamic_cast<WorkloadComponent*>(
@@ -78,7 +87,7 @@ void WorkloadComponent::schedule_link(std::size_t index) {
       return;
     const Link& l = component->links_[index];
     prism::Event event("app.msg");
-    event.set_to(l.peer);
+    event.set_to(component->peer_ids_[index]);
     // Materialize the payload so event.size_kb() reflects the modelled
     // event size and bandwidth accounting is faithful.
     event.set("payload", std::vector<std::uint8_t>(

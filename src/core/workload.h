@@ -57,8 +57,12 @@ class WorkloadComponent final : public prism::Component {
  private:
   void schedule_link(std::size_t index);
 
+  /// Interns each link's peer once, so sends set the destination by id.
+  void intern_peers();
+
   double memory_kb_ = 1.0;
   std::vector<Link> links_;
+  std::vector<prism::NameId> peer_ids_;  // parallel to links_
   bool running_ = false;
   /// Invalidates scheduled sends from a previous attachment epoch.
   std::uint64_t epoch_ = 0;

@@ -682,7 +682,8 @@ void AdminComponent::handle_location_update(const Event& event) {
 void AdminComponent::on_undeliverable(Event event) {
   if (crashed_) return;  // a dead process buffers nothing
   if (event.to().empty() || event.to() == name()) return;
-  const std::optional<model::HostId> where = connector_.location(event.to());
+  const std::optional<model::HostId> where =
+      connector_.location(event.to_id());
   if (where && *where != host_) {
     connector_.resend(std::move(event));  // chase it to its new host
     return;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/assert.h"
+
 namespace dif::prism {
 
 Architecture::Architecture(std::string name, IScaffold& scaffold,
@@ -14,11 +16,15 @@ Architecture::~Architecture() = default;
 Component& Architecture::add_component(std::unique_ptr<Component> component) {
   if (!component)
     throw std::invalid_argument("Architecture: null component");
-  if (find_component(component->name()))
+  if (find_component(component->name_id()))
     throw std::invalid_argument("Architecture: duplicate component name '" +
                                 component->name() + "'");
   component->arch_ = this;
+  const NameId id = component->name_id();
+  if (id >= by_id_.size()) by_id_.resize(id + 1, nullptr);
+  by_id_[id] = component.get();
   components_.push_back(std::move(component));
+  check_index();
   Component& ref = *components_.back();
   ref.on_attached();
   return ref;
@@ -59,6 +65,8 @@ std::unique_ptr<Component> Architecture::detach_component(
   if (it == components_.end()) return nullptr;
   std::unique_ptr<Component> component = std::move(*it);
   components_.erase(it);
+  by_id_[component->name_id()] = nullptr;
+  check_index();
   component->on_detached();
   for (Connector* connector : component->connectors_)
     std::erase(connector->components_, component.get());
@@ -78,10 +86,19 @@ void Architecture::remove_connector(const std::string& name) {
 }
 
 Component* Architecture::find_component(const std::string& name) const {
-  const auto it =
-      std::find_if(components_.begin(), components_.end(),
-                   [&](const auto& c) { return c->name() == name; });
-  return it == components_.end() ? nullptr : it->get();
+  return find_component(find_name(name));
+}
+
+void Architecture::check_index() const {
+#ifdef DIF_ENABLE_ASSERTS
+  std::size_t indexed = 0;
+  for (const Component* c : by_id_) indexed += c != nullptr;
+  DIF_ASSERT(indexed == components_.size(),
+             "Architecture: by-id index and component list disagree");
+  for (const auto& c : components_)
+    DIF_ASSERT(find_component(c->name_id()) == c.get(),
+               "Architecture: component missing from by-id index");
+#endif
 }
 
 Connector* Architecture::find_connector(const std::string& name) const {
@@ -105,15 +122,21 @@ double Architecture::total_memory_kb() const {
 }
 
 void Architecture::post_to(const std::string& component, const Event& event) {
-  post_to(component, Event(event));
+  post_to(intern(component), Event(event));
 }
 
 void Architecture::post_to(const std::string& component, Event&& event) {
-  // Copy the name before the event is moved: it may alias event.to().
-  std::string name = component;
+  post_to(intern(component), std::move(event));
+}
+
+void Architecture::post_to(NameId component, const Event& event) {
+  post_to(component, Event(event));
+}
+
+void Architecture::post_to(NameId component, Event&& event) {
   scaffold_.dispatch(
-      [this, name = std::move(name), event = std::move(event)]() mutable {
-        if (Component* target = find_component(name)) {
+      [this, component, event = std::move(event)]() mutable {
+        if (Component* target = find_component(component)) {
           target->deliver(event);
         } else if (undeliverable_) {
           undeliverable_(std::move(event));

@@ -46,6 +46,11 @@ class Architecture final : public Brick {
 
   // --- lookup ---------------------------------------------------------------
 
+  /// By id through the architecture's by-id index (the event path); the
+  /// string form serves cold callers.
+  [[nodiscard]] Component* find_component(NameId name) const {
+    return name < by_id_.size() ? by_id_[name] : nullptr;
+  }
   [[nodiscard]] Component* find_component(const std::string& name) const;
   [[nodiscard]] Connector* find_connector(const std::string& name) const;
   [[nodiscard]] std::vector<std::string> component_names() const;
@@ -62,10 +67,12 @@ class Architecture final : public Brick {
   /// component is re-resolved at dispatch time: if it has been detached in
   /// the meantime, the undeliverable handler (if any) gets the event — this
   /// is the hook AdminComponent uses to buffer events during migration.
-  void post_to(const std::string& component, const Event& event);
+  void post_to(NameId component, const Event& event);
   /// As above, moving `event` into the dispatch closure instead of copying
   /// it (events deserialized off the network are posted this way).
-  /// `component` may refer into `event` (e.g. event.to()).
+  void post_to(NameId component, Event&& event);
+  /// By name, for cold callers.
+  void post_to(const std::string& component, const Event& event);
   void post_to(const std::string& component, Event&& event);
 
   /// Handler for events whose destination vanished (migration buffering).
@@ -77,9 +84,15 @@ class Architecture final : public Brick {
   }
 
  private:
+  /// Asserts (DIF_ASSERT builds) that by_id_ indexes exactly components_.
+  void check_index() const;
+
   IScaffold& scaffold_;
   model::HostId host_;
   std::vector<std::unique_ptr<Component>> components_;
+  /// Attached components by NameId (null where none); the event path's
+  /// component resolution.
+  std::vector<Component*> by_id_;
   std::vector<std::unique_ptr<Connector>> connectors_;
   UndeliverableHandler undeliverable_;
 };

@@ -45,10 +45,10 @@ void Connector::deliver_locally(const Event& event, Component* sender) {
   // re-resolved when the scaffold fires the dispatch, so a component that
   // migrates away between routing and delivery is handled by the
   // architecture's undeliverable hook instead of a dangling pointer.
-  if (!event.to().empty()) {
+  if (event.to_id() != kEmptyName) {
     for (Component* component : components_) {
-      if (component != sender && component->name() == event.to()) {
-        arch_->post_to(component->name(), event);
+      if (component != sender && component->name_id() == event.to_id()) {
+        arch_->post_to(component->name_id(), event);
         return;
       }
     }
@@ -56,7 +56,7 @@ void Connector::deliver_locally(const Event& event, Component* sender) {
   }
   for (Component* component : components_) {
     if (component == sender) continue;
-    arch_->post_to(component->name(), event);
+    arch_->post_to(component->name_id(), event);
   }
 }
 

@@ -81,12 +81,14 @@ class SimScaffold final : public IScaffold {
 /// Abstract base of Architecture, Component, and Connector.
 class Brick {
  public:
-  explicit Brick(std::string name) : name_(std::move(name)) {}
+  explicit Brick(std::string name)
+      : name_(std::move(name)), name_id_(intern(name_)) {}
   virtual ~Brick() = default;
   Brick(const Brick&) = delete;
   Brick& operator=(const Brick&) = delete;
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
+  [[nodiscard]] NameId name_id() const noexcept { return name_id_; }
 
   void add_monitor(std::shared_ptr<IMonitor> monitor);
   void remove_monitor(const IMonitor* monitor);
@@ -101,6 +103,7 @@ class Brick {
 
  private:
   std::string name_;
+  NameId name_id_;
   std::vector<std::shared_ptr<IMonitor>> monitors_;
 };
 

@@ -40,16 +40,29 @@ void DistributionConnector::set_next_hop(model::HostId destination,
   if (destination != host_) next_hops_[destination] = via;
 }
 
+void DistributionConnector::set_location(NameId component,
+                                         model::HostId host) {
+  if (component >= locations_.size())
+    locations_.resize(component + 1, model::kNoHost);
+  locations_[component] = host;
+}
+
 void DistributionConnector::set_location(const std::string& component,
                                          model::HostId host) {
-  locations_[component] = host;
+  set_location(intern(component), host);
+}
+
+std::optional<model::HostId> DistributionConnector::location(
+    NameId component) const {
+  if (component >= locations_.size() ||
+      locations_[component] == model::kNoHost)
+    return std::nullopt;
+  return locations_[component];
 }
 
 std::optional<model::HostId> DistributionConnector::location(
     const std::string& component) const {
-  const auto it = locations_.find(component);
-  if (it == locations_.end()) return std::nullopt;
-  return it->second;
+  return location(find_name(component));
 }
 
 void DistributionConnector::forward_remote(const Event& event,
@@ -124,8 +137,9 @@ void DistributionConnector::route(const Event& event, Component* sender) {
   if (!event.to().empty()) {
     // Directed event: if the destination is local, local delivery covered
     // it; otherwise forward toward its host.
-    if (architecture() && architecture()->find_component(event.to())) return;
-    const std::optional<model::HostId> destination = location(event.to());
+    if (architecture() && architecture()->find_component(event.to_id()))
+      return;
+    const std::optional<model::HostId> destination = location(event.to_id());
     if (!destination || *destination == host_) {
       ++undeliverable_remote_;
       util::log_debug("prism.dist",
@@ -171,16 +185,11 @@ void DistributionConnector::resend(Event event) {
   route(event, nullptr);
 }
 
-void DistributionConnector::send_ping(model::HostId peer,
-                                      std::uint64_t ping_id) {
+void DistributionConnector::send_ping(model::HostId peer) {
   sim::NetMessage message;
   message.from = host_;
   message.to = peer;
   message.channel = kPingChannel;
-  ByteWriter w;
-  w.reserve(8);
-  w.u64(ping_id);
-  message.payload = w.take();
   message.size_kb = 0.05;  // tiny probe
   network_.send(std::move(message));
 }
@@ -192,16 +201,12 @@ void DistributionConnector::on_net_message(const sim::NetMessage& message) {
     pong.from = host_;
     pong.to = message.from;
     pong.channel = kPongChannel;
-    pong.payload = message.payload;
     pong.size_kb = 0.05;
     network_.send(std::move(pong));
     return;
   }
   if (message.channel == kPongChannel) {
-    if (pong_handler_) {
-      ByteReader r(message.payload);
-      pong_handler_(message.from, r.u64());
-    }
+    if (pong_handler_) pong_handler_(message.from);
     return;
   }
   if (message.channel != kEventChannel) return;
@@ -211,7 +216,7 @@ void DistributionConnector::on_net_message(const sim::NetMessage& message) {
   if (!event.to().empty()) {
     // post_to re-resolves at dispatch; a missing destination lands in the
     // architecture's undeliverable handler (admin buffering / re-routing).
-    architecture()->post_to(event.to(), std::move(event));
+    architecture()->post_to(event.to_id(), std::move(event));
   } else {
     deliver_locally(event, nullptr);
   }

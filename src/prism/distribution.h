@@ -62,7 +62,9 @@ class DistributionConnector final : public Connector {
 
   /// Records that `component` currently lives on `host` (updated by
   /// location-update events during redeployment).
+  void set_location(NameId component, model::HostId host);
   void set_location(const std::string& component, model::HostId host);
+  [[nodiscard]] std::optional<model::HostId> location(NameId component) const;
   [[nodiscard]] std::optional<model::HostId> location(
       const std::string& component) const;
 
@@ -101,9 +103,10 @@ class DistributionConnector final : public Connector {
 
   // --- ping support (NetworkReliabilityMonitor) ----------------------------------
 
-  using PongHandler =
-      std::function<void(model::HostId peer, std::uint64_t ping_id)>;
-  void send_ping(model::HostId peer, std::uint64_t ping_id);
+  /// Probes carry no payload: the pong names only the peer that reflected
+  /// it, which is all the monitor counts.
+  using PongHandler = std::function<void(model::HostId peer)>;
+  void send_ping(model::HostId peer);
   void set_pong_handler(PongHandler handler) {
     pong_handler_ = std::move(handler);
   }
@@ -119,7 +122,8 @@ class DistributionConnector final : public Connector {
   std::vector<model::HostId> peers_;
   std::optional<model::HostId> mediator_;
   std::unordered_map<model::HostId, model::HostId> next_hops_;
-  std::unordered_map<std::string, model::HostId> locations_;
+  /// Component host by NameId (kNoHost where unknown).
+  std::vector<model::HostId> locations_;
   PongHandler pong_handler_;
   std::uint64_t undeliverable_remote_ = 0;
 

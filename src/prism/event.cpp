@@ -151,6 +151,7 @@ Event Event::deserialize(std::span<const std::uint8_t> data) {
   ByteReader r(data);
   Event event(r.str());
   event.to_ = r.str();
+  event.to_id_ = intern(event.to_);
   event.from_ = r.str();
   const std::uint32_t count = r.u32();
   // Capped by what the input can hold (a parameter takes at least

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "prism/bytes.h"
+#include "prism/name_id.h"
 
 namespace dif::prism {
 
@@ -35,7 +36,17 @@ class Event {
 
   /// Destination component name; empty means broadcast.
   [[nodiscard]] const std::string& to() const noexcept { return to_; }
-  void set_to(std::string to) { to_ = std::move(to); }
+  /// The destination's interned id (kEmptyName for a broadcast), cached by
+  /// set_to() and deserialize() so routing never re-hashes the name.
+  [[nodiscard]] NameId to_id() const noexcept { return to_id_; }
+  void set_to(std::string to) {
+    to_id_ = intern(to);
+    to_ = std::move(to);
+  }
+  void set_to(NameId to) {
+    to_ = name_of(to);
+    to_id_ = to;
+  }
 
   /// Originating component name (stamped by Component::send).
   [[nodiscard]] const std::string& from() const noexcept { return from_; }
@@ -87,6 +98,7 @@ class Event {
 
   std::string name_;
   std::string to_;
+  NameId to_id_ = kEmptyName;
   std::string from_;
   /// Insertion-ordered so serialization is deterministic.
   std::vector<std::pair<std::string, ParamValue>> params_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 namespace dif::prism {
 
@@ -39,11 +40,8 @@ void EvtFrequencyMonitor::on_event_sent(const Brick& brick,
   // on receipt would systematically under-report exactly the links the
   // redeployment algorithms most need to fix).
   if (event.name().rfind("__", 0) == 0) return;  // middleware control event
-  if (event.to().empty()) return;                // broadcast: see below
-  ++observed_;
-  Counter& counter = counts_[{brick.name(), event.to()}];
-  ++counter.count;
-  counter.total_kb += event.size_kb();
+  if (event.to_id() == kEmptyName) return;       // broadcast: see below
+  count(brick.name_id(), event.to_id(), event);
 }
 
 void EvtFrequencyMonitor::on_event_received(const Brick& brick,
@@ -53,20 +51,45 @@ void EvtFrequencyMonitor::on_event_received(const Brick& brick,
   if (event.from().empty()) return;
   // Broadcast events have no single destination at send time; count each
   // delivery.
+  count(intern(event.from()), brick.name_id(), event);
+}
+
+void EvtFrequencyMonitor::count(NameId from, NameId to, const Event& event) {
   ++observed_;
-  Counter& counter = counts_[{event.from(), brick.name()}];
+  Counter& counter = counts_[PairKey{from} << 32 | to];
   ++counter.count;
   counter.total_kb += event.size_kb();
+}
+
+namespace {
+const std::string& from_name(std::uint64_t key) {
+  return name_of(static_cast<NameId>(key >> 32));
+}
+const std::string& to_name(std::uint64_t key) {
+  return name_of(static_cast<NameId>(key));
+}
+}  // namespace
+
+bool EvtFrequencyMonitor::ByNames::operator()(PairKey a, PairKey b) const {
+  return std::tie(from_name(a), to_name(a)) <
+         std::tie(from_name(b), to_name(b));
 }
 
 std::vector<EvtFrequencyMonitor::PairFrequency>
 EvtFrequencyMonitor::collect() {
   const double now = scaffold_.now_ms();
   const double window_s = std::max((now - window_start_ms_) / 1000.0, 1e-9);
+  // Reported in (from, to) name order, whatever order the ids hash in.
+  std::vector<std::pair<PairKey, Counter>> active(counts_.begin(),
+                                                  counts_.end());
+  std::sort(active.begin(), active.end(),
+            [](const auto& a, const auto& b) {
+              return ByNames{}(a.first, b.first);
+            });
   std::vector<PairFrequency> out;
-  out.reserve(counts_.size());
-  for (const auto& [pair, counter] : counts_) {
-    out.push_back({pair.first, pair.second,
+  out.reserve(active.size());
+  for (const auto& [pair, counter] : active) {
+    out.push_back({from_name(pair), to_name(pair),
                    static_cast<double>(counter.count) / window_s,
                    counter.count ? counter.total_kb /
                                        static_cast<double>(counter.count)
@@ -87,11 +110,11 @@ EvtFrequencyMonitor::collect() {
       it = quiet_windows_.erase(it);
       continue;
     }
-    out.push_back({it->first.first, it->first.second, 0.0, 0.0});
+    out.push_back({from_name(it->first), to_name(it->first), 0.0, 0.0});
     ++zero_pairs;
     ++it;
   }
-  for (const auto& [pair, counter] : counts_) quiet_windows_[pair] = 0;
+  for (const auto& [pair, counter] : active) quiet_windows_[pair] = 0;
   if (collections_) {
     collections_->add(1);
     zero_pairs_->add(zero_pairs);
@@ -106,9 +129,7 @@ NetworkReliabilityMonitor::NetworkReliabilityMonitor(
     DistributionConnector& connector, sim::Simulator& simulator, Params params)
     : connector_(connector), sim_(simulator), params_(params) {
   connector_.set_pong_handler(
-      [this](model::HostId peer, std::uint64_t /*ping_id*/) {
-        ++sent_received_[peer].second;
-      });
+      [this](model::HostId peer) { ++sent_received_[peer].second; });
 }
 
 void NetworkReliabilityMonitor::set_instruments(
@@ -136,7 +157,7 @@ void NetworkReliabilityMonitor::schedule_next() {
 void NetworkReliabilityMonitor::ping_round() {
   for (const model::HostId peer : connector_.peers()) {
     for (std::uint32_t i = 0; i < params_.pings_per_round; ++i) {
-      connector_.send_ping(peer, next_ping_id_++);
+      connector_.send_ping(peer);
       ++sent_received_[peer].first;
       if (pings_) pings_->add(1);
     }

@@ -12,6 +12,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -86,14 +87,21 @@ class EvtFrequencyMonitor final : public IMonitor {
     std::uint64_t count = 0;
     double total_kb = 0.0;
   };
+  /// A (from, to) component pair packed as from_id << 32 | to_id.
+  using PairKey = std::uint64_t;
+  /// Orders pair keys by (from name, to name), the order collect() reports.
+  struct ByNames {
+    bool operator()(PairKey a, PairKey b) const;
+  };
+  void count(NameId from, NameId to, const Event& event);
 
   const IScaffold& scaffold_;
   std::size_t retain_windows_;
   double window_start_ms_;
-  std::map<std::pair<std::string, std::string>, Counter> counts_;
+  std::unordered_map<PairKey, Counter> counts_;
   /// Consecutive zero-event collections per known pair; pruned past
   /// retain_windows_.
-  std::map<std::pair<std::string, std::string>, std::size_t> quiet_windows_;
+  std::map<PairKey, std::size_t, ByNames> quiet_windows_;
   std::uint64_t observed_ = 0;
   obs::Counter* collections_ = nullptr;
   obs::Counter* zero_pairs_ = nullptr;
@@ -142,7 +150,6 @@ class NetworkReliabilityMonitor {
   sim::Simulator& sim_;
   Params params_;
   bool running_ = false;
-  std::uint64_t next_ping_id_ = 1;
   std::map<model::HostId, std::pair<std::uint64_t, std::uint64_t>>
       sent_received_;
   obs::Counter* pings_ = nullptr;

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
+
+#include "util/assert.h"
 
 namespace dif::sim {
 
@@ -13,6 +16,7 @@ SimNetwork::SimNetwork(Simulator& simulator, std::size_t host_count,
       links_(host_count * host_count),
       link_free_(host_count * host_count, 0.0),
       link_dropped_(host_count * host_count, 0),
+      link_queues_(host_count * host_count),
       host_up_(host_count, true),
       receivers_(host_count),
       rng_(seed) {
@@ -153,26 +157,6 @@ bool SimNetwork::send(NetMessage msg) {
     metric_.kb_sent->add(msg.size_kb);
   }
 
-  const auto deliver = [this](NetMessage m, double delay_ms) {
-    sim_.schedule_after(delay_ms, [this, m = std::move(m)]() {
-      // A host that crashed while the message was in flight receives
-      // nothing.
-      if (!host_up_[m.to]) {
-        ++stats_.dropped;
-        if (m.from != m.to) ++link_dropped_[index(m.from, m.to)];
-        if (metric_.dropped) metric_.dropped->add(1);
-        return;
-      }
-      ++stats_.delivered;
-      stats_.kb_delivered += m.size_kb;
-      if (metric_.delivered) {
-        metric_.delivered->add(1);
-        metric_.kb_delivered->add(m.size_kb);
-      }
-      if (receivers_[m.to]) receivers_[m.to](m);
-    });
-  };
-
   if (msg.from >= k_ || msg.to >= k_)
     throw std::out_of_range("SimNetwork: bad host id");
   if (!host_up_[msg.from] || !host_up_[msg.to]) {
@@ -180,8 +164,9 @@ bool SimNetwork::send(NetMessage msg) {
     if (metric_.unroutable) metric_.unroutable->add(1);
     return false;
   }
+  sync_clears();
   if (msg.from == msg.to) {
-    deliver(std::move(msg), 0.0);
+    schedule_arrival(std::move(msg), sim_.now());
     return true;
   }
 
@@ -242,8 +227,89 @@ bool SimNetwork::send(NetMessage msg) {
   }
   const double total_delay =
       queue_ms + transfer_ms + link.delay_ms + fuzz_delay_ms;
-  deliver(std::move(msg), total_delay);
+  enqueue(li, std::move(msg), sim_.now() + std::max(total_delay, 0.0));
   return true;
+}
+
+void SimNetwork::sync_clears() {
+  if (sim_.clears() == clears_seen_) return;
+  clears_seen_ = sim_.clears();
+  for (LinkQueue& q : link_queues_) q = LinkQueue{};
+  in_flight_ = 0;
+}
+
+void SimNetwork::LinkQueue::push(InFlight item) {
+  if (size == ring.size()) {
+    std::vector<InFlight> grown(std::max<std::size_t>(4, 2 * ring.size()));
+    for (std::size_t i = 0; i < size; ++i) grown[i] = std::move(at(i));
+    ring = std::move(grown);
+    head = 0;
+  }
+  DIF_ASSERT(size == 0 || item.at > at(size - 1).at,
+             "SimNetwork: link queue arrival times must strictly increase");
+  at(size) = std::move(item);
+  ++size;
+}
+
+NetMessage SimNetwork::LinkQueue::pop() {
+  NetMessage m = std::move(ring[head].msg);
+  head = (head + 1) & (ring.size() - 1);
+  --size;
+  return m;
+}
+
+void SimNetwork::schedule_arrival(NetMessage m, TimePoint at) {
+  ++in_flight_;
+  sim_.schedule_at(at, [this, m = std::move(m)] {
+    --in_flight_;
+    arrive(m);
+  });
+}
+
+void SimNetwork::enqueue(std::size_t li, NetMessage m, TimePoint at) {
+  LinkQueue& q = link_queues_[li];
+  if (q.size > 0 && at <= q.at(q.size - 1).at) {
+    schedule_arrival(std::move(m), at);
+    return;
+  }
+  ++in_flight_;
+  q.push({at, sim_.reserve_seq(), std::move(m)});
+  if (q.size == 1) schedule_head(li);
+}
+
+void SimNetwork::schedule_head(std::size_t li) {
+  LinkQueue& q = link_queues_[li];
+  const InFlight& head = q.at(0);
+  sim_.schedule_at(head.at, head.seq, [this, li] { arrive_head(li); });
+}
+
+void SimNetwork::arrive_head(std::size_t li) {
+  LinkQueue& q = link_queues_[li];
+  DIF_ASSERT(q.size > 0 && q.at(0).seq == sim_.firing_seq(),
+             "SimNetwork: link queue head fired under a foreign seq");
+  const NetMessage m = q.pop();
+  --in_flight_;
+  // The next head is scheduled before the receiver runs, so a clear() from
+  // inside the receiver drops it like every other pending event.
+  if (q.size > 0) schedule_head(li);
+  arrive(m);
+}
+
+void SimNetwork::arrive(const NetMessage& m) {
+  // A host that crashed while the message was in flight receives nothing.
+  if (!host_up_[m.to]) {
+    ++stats_.dropped;
+    if (m.from != m.to) ++link_dropped_[index(m.from, m.to)];
+    if (metric_.dropped) metric_.dropped->add(1);
+    return;
+  }
+  ++stats_.delivered;
+  stats_.kb_delivered += m.size_kb;
+  if (metric_.delivered) {
+    metric_.delivered->add(1);
+    metric_.kb_delivered->add(m.size_kb);
+  }
+  if (receivers_[m.to]) receivers_[m.to](m);
 }
 
 }  // namespace dif::sim

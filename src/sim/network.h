@@ -126,10 +126,29 @@ class SimNetwork {
   /// no loss. Remote messages are dropped with probability 1 - reliability;
   /// surviving ones arrive after delay + serialized transfer time. Returns
   /// false when the message was immediately unroutable.
+  ///
+  /// Arrivals fire in exactly the (time, seq) order of one simulator event
+  /// per message, but a link's messages mostly travel in its in-flight
+  /// queue: transfers serialize on the link, so its arrival times usually
+  /// increase in send order. A message arriving strictly after the link's
+  /// queue tail joins the queue under a reserved sequence number
+  /// (Simulator::reserve_seq), and only the queue head has a simulator
+  /// event; when it fires it schedules the next head under that head's own
+  /// (time, seq). A message that would not arrive strictly after the tail
+  /// (fuzz delay, a link delay lowered in flight, equal arrival times) and
+  /// every local message gets its own event as before.
   bool send(NetMessage msg);
 
   [[nodiscard]] const MessageStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept;
+
+  /// Messages sent and not yet arrived (delivered, or dropped on arrival at
+  /// a crashed host). Most of them wait in per-link queues rather than in
+  /// the simulator (see send()), so Simulator::pending() does not count
+  /// them. Simulator::clear() drops them all.
+  [[nodiscard]] std::size_t in_flight() const noexcept {
+    return sim_.clears() == clears_seen_ ? in_flight_ : 0;
+  }
 
   /// Drops charged to the (a, b) link: reliability losses plus messages that
   /// were in flight on the link when the receiver crashed. Local (a == a)
@@ -174,7 +193,43 @@ class SimNetwork {
     obs::Histogram* queue_ms = nullptr;
   };
 
+  /// A message waiting in its link's in-flight queue, with the arrival
+  /// time and sequence number its own simulator event would have had.
+  struct InFlight {
+    TimePoint at = 0.0;
+    std::uint64_t seq = 0;
+    NetMessage msg;
+  };
+  /// FIFO ring of one link's queued messages (both directions); arrival
+  /// times strictly increase from head to tail. Capacity is zero or a power
+  /// of two and is kept when the queue drains.
+  struct LinkQueue {
+    std::vector<InFlight> ring;
+    std::size_t head = 0;
+    std::size_t size = 0;
+    [[nodiscard]] InFlight& at(std::size_t i) {
+      return ring[(head + i) & (ring.size() - 1)];
+    }
+    void push(InFlight item);
+    NetMessage pop();
+  };
+
   [[nodiscard]] std::size_t index(model::HostId a, model::HostId b) const;
+  /// Schedules `m`'s arrival as an event of its own.
+  void schedule_arrival(NetMessage m, TimePoint at);
+  /// Queues `m` on link `li`, or gives it its own event when it would not
+  /// arrive strictly after the link's tail.
+  void enqueue(std::size_t li, NetMessage m, TimePoint at);
+  /// Schedules link `li`'s queue head under its reserved (time, seq).
+  void schedule_head(std::size_t li);
+  /// Pops and delivers link `li`'s queue head (its event is firing).
+  void arrive_head(std::size_t li);
+  /// Arrival of `m` at its destination: delivered, or dropped if the host
+  /// crashed while it was in flight.
+  void arrive(const NetMessage& m);
+  /// Empties the link queues once the simulator has been cleared (their
+  /// heads' events are gone).
+  void sync_clears();
   /// The (lazily created) per-link queue-delay histogram, or null when
   /// metrics are off. Lazy because only links that actually carry traffic
   /// should appear in the registry (k^2 histograms would swamp it).
@@ -187,6 +242,9 @@ class SimNetwork {
   std::vector<LinkState> links_;        // canonical-pair square matrix
   std::vector<TimePoint> link_free_;    // per-link transfer queue tail
   std::vector<std::uint64_t> link_dropped_;  // per-link share of dropped
+  std::vector<LinkQueue> link_queues_;  // per-link in-flight messages
+  std::size_t in_flight_ = 0;
+  std::uint64_t clears_seen_ = 0;  // Simulator::clears() the queues match
   std::vector<bool> host_up_;
   std::vector<Receiver> receivers_;
   util::Xoshiro256ss rng_;

@@ -3,10 +3,18 @@
 #include <algorithm>
 #include <utility>
 
+#include "util/assert.h"
+
 namespace dif::sim {
 
 void Simulator::schedule_at(TimePoint t, std::function<void()> fn) {
-  heap_.push_back({std::max(t, now_), next_seq_++, std::move(fn)});
+  schedule_at(t, reserve_seq(), std::move(fn));
+}
+
+void Simulator::schedule_at(TimePoint t, std::uint64_t seq,
+                            std::function<void()> fn) {
+  DIF_ASSERT(seq < next_seq_, "Simulator: sequence number was not reserved");
+  heap_.push_back({std::max(t, now_), seq, std::move(fn)});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
@@ -74,6 +82,7 @@ std::size_t Simulator::run_until(TimePoint t) {
 bool Simulator::step() { return fire_batch(1) == 1; }
 
 void Simulator::clear() {
+  ++clears_;
   heap_.clear();
   // Keep the already-fired prefix (their fns are moved-out shells) and drop
   // the unfired tail, so an in-flight fire_batch loop stops immediately.

@@ -12,7 +12,8 @@
 // restructure per run, receiver-style), which is where fleet-scale message
 // storms spend their time; the (time, seq) contract is unaffected because a
 // handler scheduled during a batch always gets a larger sequence number than
-// every drained event.
+// every drained event (or, under a sequence number reserved earlier, a
+// strictly later time — see reserve_seq()).
 #pragma once
 
 #include <cstdint>
@@ -39,6 +40,22 @@ class Simulator {
   /// Schedules `fn` `delay_ms` after the current time (negative clamps to 0).
   void schedule_after(double delay_ms, std::function<void()> fn);
 
+  /// Takes the next insertion-sequence number without scheduling anything.
+  /// An event later scheduled under it with schedule_at(t, seq, fn) fires
+  /// exactly where one scheduled at reservation time would have, provided
+  /// it reaches the queue before the dispatcher drains any event ordered
+  /// after (t, seq) — e.g. when a handler firing strictly before t schedules
+  /// it. SimNetwork's per-link in-flight queues rely on this.
+  [[nodiscard]] std::uint64_t reserve_seq() noexcept { return next_seq_++; }
+  /// Schedules `fn` at `t` (clamped to now) under a reserved sequence number.
+  void schedule_at(TimePoint t, std::uint64_t seq, std::function<void()> fn);
+
+  /// Sequence number of the event whose handler is running (meaningful only
+  /// inside a handler; invariant checks use it).
+  [[nodiscard]] std::uint64_t firing_seq() const noexcept {
+    return batch_pos_ ? batch_[batch_pos_ - 1].seq : 0;
+  }
+
   /// Runs events until the queue drains or `max_events` fire.
   /// Returns the number of events processed.
   std::size_t run(std::size_t max_events = SIZE_MAX);
@@ -50,6 +67,9 @@ class Simulator {
   /// Fires the single earliest event; returns false when the queue is empty.
   bool step();
 
+  /// Events in the queue. A SimNetwork keeps only the head of each link's
+  /// in-flight queue here, so messages queued behind it are not counted
+  /// (SimNetwork::in_flight() counts them).
   [[nodiscard]] std::size_t pending() const noexcept {
     return heap_.size() + (batch_.size() - batch_pos_);
   }
@@ -64,7 +84,11 @@ class Simulator {
 
   /// Drops all pending events (the clock is left where it is). Safe to call
   /// from inside a handler: the rest of the current batch is dropped too.
+  /// Owners of state behind scheduled events (SimNetwork's link queues) see
+  /// it through clears().
   void clear();
+  /// Number of clear() calls so far.
+  [[nodiscard]] std::uint64_t clears() const noexcept { return clears_; }
 
  private:
   struct Scheduled {
@@ -100,6 +124,7 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t batches_ = 0;
+  std::uint64_t clears_ = 0;
 };
 
 }  // namespace dif::sim

@@ -56,6 +56,20 @@ TEST(Architecture, FindAndNames) {
   EXPECT_EQ(f.arch.component_count(), 3u);
 }
 
+TEST(Architecture, FindByIdTracksAttachAndDetach) {
+  Fixture f;
+  const NameId b = f.b->name_id();
+  EXPECT_EQ(f.arch.find_component(b), f.b);
+  EXPECT_EQ(f.arch.find_component(kEmptyName), nullptr);
+  EXPECT_EQ(f.arch.find_component(kUnknownName), nullptr);
+  auto detached = f.arch.detach_component("b");
+  EXPECT_EQ(f.arch.find_component(b), nullptr);
+  EXPECT_EQ(f.arch.find_component(f.a->name_id()), f.a);
+  Component& back = f.arch.add_component(std::move(detached));
+  EXPECT_EQ(f.arch.find_component(b), &back);
+  EXPECT_EQ(f.arch.find_component("b"), &back);
+}
+
 TEST(Routing, BroadcastReachesAllButSender) {
   Fixture f;
   f.a->send(Event("ping"));

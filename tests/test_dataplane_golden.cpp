@@ -6,9 +6,16 @@
 // bytes, event order and RNG draws of the data plane, so an optimization of
 // that path that changes any of these shows up here.
 //
+// The quiet 16x64 campaigns are the size at which link queues build (the
+// busiest links hold thousands of messages in flight; queueing delays reach
+// minutes of simulated time), and the decentralized one also covers the
+// model-sync and auction traffic the centralized campaigns never send.
+//
 // The in-process equivalents of
 //   difctl campaign --seeds 0..1 --scenario mixed --centralized --json F
 //   difctl fuzz --seed 0 --rounds 2 --json F
+//   difctl campaign --seeds 0 --scenario quiet --hosts 16 --components 64
+//       --centralized|--decentralized --json F
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -40,6 +47,27 @@ TEST(DataplaneGolden, MixedCampaignReportIsByteIdentical) {
   ASSERT_EQ(report.config.generator.components, 14u);
   EXPECT_EQ(report.to_json().dump(2) + "\n",
             read_golden("campaign_mixed_centralized_s0-1.json"));
+}
+
+CampaignReport quiet_16x64(bool decentralized) {
+  CampaignConfig config;
+  config.scenario = scenario_by_name("quiet");
+  config.seeds = {0};
+  config.generator.hosts = 16;
+  config.generator.components = 64;
+  config.centralized = !decentralized;
+  config.decentralized = decentralized;
+  return CampaignRunner(config).run();
+}
+
+TEST(DataplaneGolden, Quiet16x64CentralizedReportIsByteIdentical) {
+  EXPECT_EQ(quiet_16x64(false).to_json().dump(2) + "\n",
+            read_golden("campaign_quiet_16x64_centralized_s0.json"));
+}
+
+TEST(DataplaneGolden, Quiet16x64DecentralizedReportIsByteIdentical) {
+  EXPECT_EQ(quiet_16x64(true).to_json().dump(2) + "\n",
+            read_golden("campaign_quiet_16x64_decentralized_s0.json"));
 }
 
 TEST(DataplaneGolden, FuzzReportIsByteIdentical) {

@@ -110,6 +110,31 @@ TEST(Event, SerializationRoundTripsAllTypes) {
             (std::vector<std::uint8_t>{0, 255, 127, 1}));
 }
 
+TEST(Event, ToIdFollowsSetToAndDeserialize) {
+  Event e("x");
+  EXPECT_EQ(e.to_id(), kEmptyName);  // broadcast
+  e.set_to("event.to-id.dst");
+  const NameId dst = e.to_id();
+  EXPECT_EQ(dst, intern("event.to-id.dst"));
+  EXPECT_EQ(Event::deserialize(e.serialize()).to_id(), dst);
+  Event by_id("y");
+  by_id.set_to(dst);
+  EXPECT_EQ(by_id.to(), "event.to-id.dst");
+  by_id.set_to("");
+  EXPECT_EQ(by_id.to_id(), kEmptyName);
+  EXPECT_EQ(Event::deserialize(by_id.serialize()).to_id(), kEmptyName);
+}
+
+TEST(NameId, InternIsStableAndFindNeverInserts) {
+  EXPECT_EQ(intern(""), kEmptyName);
+  const NameId id = intern("name-id.stable");
+  EXPECT_EQ(intern("name-id.stable"), id);
+  EXPECT_EQ(find_name("name-id.stable"), id);
+  EXPECT_EQ(name_of(id), "name-id.stable");
+  EXPECT_EQ(find_name("name-id.never-interned"), kUnknownName);
+  EXPECT_EQ(find_name("name-id.never-interned"), kUnknownName);
+}
+
 TEST(Event, SerializationPreservesParamOrder) {
   Event e("x");
   e.set("z", 1.0);

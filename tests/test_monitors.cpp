@@ -162,6 +162,44 @@ TEST(EvtFrequencyMonitor, IgnoresControlEvents) {
   EXPECT_EQ(monitor->events_observed(), 0u);
 }
 
+TEST(EvtFrequencyMonitor, CollectReportsPairsInNameOrder) {
+  // Interned in reverse name order, so id order and name order disagree.
+  sim::Simulator sim;
+  SimScaffold scaffold(sim);
+  Architecture arch("a", scaffold, 0);
+  auto& z = arch.add_component(std::make_unique<Probe>("order.z"));
+  auto& m = arch.add_component(std::make_unique<Probe>("order.m"));
+  auto& a = arch.add_component(std::make_unique<Probe>("order.a"));
+  auto& bus = arch.add_connector(std::make_unique<Connector>("bus"));
+  auto monitor = std::make_shared<EvtFrequencyMonitor>(scaffold);
+  for (Component* c : {&z, &m, &a}) {
+    arch.weld(*c, bus);
+    c->add_monitor(monitor);
+  }
+  for (Component* from : {&z, &m, &a}) {
+    for (const char* to : {"order.m", "order.a", "order.z"}) {
+      if (from->name() == to) continue;
+      Event e("app.msg");
+      e.set_to(to);
+      from->send(std::move(e));
+    }
+  }
+  sim.run_until(1000.0);
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"order.a", "order.m"}, {"order.a", "order.z"}, {"order.m", "order.a"},
+      {"order.m", "order.z"}, {"order.z", "order.a"}, {"order.z", "order.m"}};
+  const auto names = [](const auto& pairs) {
+    std::vector<std::pair<std::string, std::string>> out;
+    for (const auto& p : pairs) out.emplace_back(p.from, p.to);
+    return out;
+  };
+  EXPECT_EQ(names(monitor->collect()), expected);
+  // The same pairs, now silent, come back as zeros in the same order.
+  const auto quiet = monitor->collect();
+  EXPECT_EQ(names(quiet), expected);
+  for (const auto& p : quiet) EXPECT_DOUBLE_EQ(p.frequency, 0.0);
+}
+
 struct NetFixture {
   sim::Simulator sim;
   sim::SimNetwork net{sim, 2, 1};

@@ -183,6 +183,56 @@ TEST(SimNetwork, DeterministicAcrossRunsWithSameSeed) {
 namespace dif::sim {
 namespace {
 
+TEST(SimNetwork, InFlightCountsMessagesQueuedBehindTheLinkHead) {
+  Fixture f;
+  f.net.set_link(0, 1, {.reliability = 1.0, .bandwidth = 10.0,
+                        .delay_ms = 5.0});
+  for (int i = 0; i < 5; ++i) f.net.send(f.msg(0, 1));
+  f.net.send(f.msg(2, 2));  // local
+  EXPECT_EQ(f.net.in_flight(), 6u);
+  // Only the link's head and the local message are simulator events.
+  EXPECT_EQ(f.sim.pending(), 2u);
+  f.sim.run();
+  EXPECT_EQ(f.received.size(), 6u);
+  EXPECT_EQ(f.net.in_flight(), 0u);
+}
+
+TEST(SimNetwork, ClearDoesNotStrandALinkQueue) {
+  // clear() drops the queue head's event; the messages behind it must go
+  // too, or the next send would join a queue nobody drains.
+  Fixture f;
+  f.net.set_link(0, 1, {.reliability = 1.0, .bandwidth = 10.0,
+                        .delay_ms = 5.0});
+  f.net.send(f.msg(0, 1));
+  f.net.send(f.msg(1, 0));
+  EXPECT_EQ(f.net.in_flight(), 2u);
+  f.sim.clear();
+  EXPECT_EQ(f.net.in_flight(), 0u);
+  NetMessage again = f.msg(0, 1);
+  again.channel = "again";
+  f.net.send(std::move(again));
+  EXPECT_EQ(f.sim.run(), 1u);
+  ASSERT_EQ(f.received.size(), 1u);
+  EXPECT_EQ(f.received[0].channel, "again");
+  EXPECT_EQ(f.net.in_flight(), 0u);
+}
+
+TEST(SimNetwork, ClearFromAReceiverDropsTheRestOfTheLinkQueue) {
+  Fixture f;
+  f.net.set_link(0, 1, {.reliability = 1.0, .bandwidth = 10.0});
+  f.net.set_receiver(1, [&f](const NetMessage& m) {
+    f.received.push_back(m);
+    if (f.received.size() == 1) f.sim.clear();
+  });
+  for (int i = 0; i < 3; ++i) f.net.send(f.msg(0, 1));
+  f.sim.run();
+  EXPECT_EQ(f.received.size(), 1u);
+  f.net.send(f.msg(0, 1));
+  f.sim.run();
+  EXPECT_EQ(f.received.size(), 2u);
+  EXPECT_EQ(f.net.in_flight(), 0u);
+}
+
 TEST(HostFailure, DownHostNeitherSendsNorReceives) {
   Simulator sim;
   SimNetwork net(sim, 3, 1);

@@ -197,6 +197,34 @@ TEST(Simulator, ThrowingHandlerLeavesRestOfBatchRunnable) {
   EXPECT_DOUBLE_EQ(sim.now(), 7.0);
 }
 
+TEST(Simulator, ReservedSeqFiresWhereItWasReserved) {
+  // A sequence number reserved before another event at the same time keeps
+  // its place even though its event is scheduled later, from a handler
+  // firing strictly before that time.
+  Simulator sim;
+  std::vector<int> order;
+  const std::uint64_t seq = sim.reserve_seq();
+  sim.schedule_at(10.0, [&] { order.push_back(2); });
+  sim.schedule_at(5.0, [&] {
+    sim.schedule_at(10.0, seq, [&] {
+      order.push_back(1);
+      EXPECT_EQ(sim.firing_seq(), seq);
+    });
+  });
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sim.batches_dispatched(), 2u);
+}
+
+TEST(Simulator, ClearIsCounted) {
+  Simulator sim;
+  EXPECT_EQ(sim.clears(), 0u);
+  sim.schedule_at(1.0, [] {});
+  sim.clear();
+  EXPECT_EQ(sim.clears(), 1u);
+  EXPECT_EQ(sim.run(), 0u);
+}
+
 TEST(Simulator, BatchedDispatchIsDeterministic) {
   // Two identical schedules — including mid-batch cascades — must replay in
   // exactly the same order.
