@@ -28,16 +28,6 @@ void SearchState::consider_value(const model::Deployment& d, double value) {
   }
 }
 
-void SearchState::consider_incremental(
-    double value, const std::function<model::Deployment()>& materialize) {
-  ++evaluations_;
-  if (!has_best_ || objective_.improves(value, best_value_)) {
-    best_ = materialize();
-    best_value_ = value;
-    has_best_ = true;
-  }
-}
-
 bool SearchState::out_of_budget() {
   if (budget_exhausted_) return true;
   // Cancellation is checked on every call (one relaxed atomic load) so a

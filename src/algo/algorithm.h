@@ -141,11 +141,20 @@ class SearchState {
   void consider_value(const model::Deployment& d, double value);
 
   /// Counts an evaluation whose value was computed incrementally without a
-  /// materialized deployment; `materialize` is only invoked when `value`
+  /// materialized deployment; `materialize()` is only invoked when `value`
   /// improves the incumbent (the move-based searches' fast path: probing a
-  /// move costs O(degree), not a deployment copy).
-  void consider_incremental(
-      double value, const std::function<model::Deployment()>& materialize);
+  /// move costs O(degree), not a deployment copy). A template, not a
+  /// std::function: a probe's capturing lambda would not fit the
+  /// std::function inline buffer and would cost a heap allocation per call.
+  template <typename Materialize>
+  void consider_incremental(double value, Materialize&& materialize) {
+    ++evaluations_;
+    if (!has_best_ || objective_.improves(value, best_value_)) {
+      best_ = materialize();
+      best_value_ = value;
+      has_best_ = true;
+    }
+  }
 
   /// True when an evaluation or time budget has been hit.
   [[nodiscard]] bool out_of_budget();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
-#include <tuple>
 
 #include "algo/random_feasible.h"
 
@@ -59,49 +58,57 @@ AlgoResult AvalaAlgorithm::run(const model::DeploymentModel& model,
       }
     }
     // Per-host interaction frequency of each dirty group toward the groups
-    // already pinned down; dirty-dirty pairs contribute as soon as the
-    // earlier-placed side lands.
-    std::vector<double> affinity(dirty_list.size() * k, 0.0);
-    std::vector<std::tuple<std::uint32_t, std::uint32_t, double>> dirty_pairs;
+    // already pinned down, kept sparse: each dirty group lists its
+    // (host, frequency) contributions in the order they arise. Dirty-dirty
+    // pairs contribute as soon as the earlier-placed side lands.
+    std::vector<std::vector<std::pair<model::HostId, double>>> affinity(
+        dirty_list.size());
+    std::vector<std::vector<std::pair<std::uint32_t, double>>> dirty_pairs(
+        dirty_list.size());
     for (const model::Interaction& ix : model.interactions()) {
       const std::uint32_t ga = groups.group_of[ix.a];
       const std::uint32_t gb = groups.group_of[ix.b];
       if (ga == gb) continue;
       const bool da = dirty[ga] != 0, db = dirty[gb] != 0;
       if (da && db) {
-        dirty_pairs.emplace_back(dirty_index[ga], dirty_index[gb],
-                                 ix.frequency);
+        dirty_pairs[dirty_index[ga]].emplace_back(dirty_index[gb],
+                                                  ix.frequency);
+        dirty_pairs[dirty_index[gb]].emplace_back(dirty_index[ga],
+                                                  ix.frequency);
       } else if (da) {
-        affinity[dirty_index[ga] * k + state.host_of_group(gb)] +=
-            ix.frequency;
+        affinity[dirty_index[ga]].emplace_back(state.host_of_group(gb),
+                                               ix.frequency);
       } else if (db) {
-        affinity[dirty_index[gb] * k + state.host_of_group(ga)] +=
-            ix.frequency;
+        affinity[dirty_index[gb]].emplace_back(state.host_of_group(ga),
+                                               ix.frequency);
       }
     }
+    // One group's per-host sums, accumulated in list order (the order a
+    // dense per-host row would have received them) and cleared after use.
+    std::vector<double> host_affinity(k, 0.0);
     bool repaired = true;
     for (std::uint32_t di = 0; di < dirty_list.size() && repaired; ++di) {
       const std::uint32_t g = dirty_list[di];
+      for (const auto& [host, freq] : affinity[di]) host_affinity[host] += freq;
       std::int64_t best_host = -1;
       double best_affinity = 0.0;
       for (std::size_t h = 0; h < k; ++h) {
         const auto host = static_cast<model::HostId>(h);
         if (!state.fits(g, host)) continue;
-        if (best_host < 0 || affinity[di * k + h] > best_affinity) {
+        if (best_host < 0 || host_affinity[h] > best_affinity) {
           best_host = static_cast<std::int64_t>(h);
-          best_affinity = affinity[di * k + h];
+          best_affinity = host_affinity[h];
         }
       }
+      for (const auto& [host, freq] : affinity[di]) host_affinity[host] = 0.0;
       if (best_host < 0) {
         repaired = false;
         break;
       }
       const auto host = static_cast<model::HostId>(best_host);
       state.place(g, host);
-      for (const auto& [i, j, freq] : dirty_pairs) {
-        if (i == di) affinity[j * k + host] += freq;
-        if (j == di) affinity[i * k + host] += freq;
-      }
+      for (const auto& [other, freq] : dirty_pairs[di])
+        if (other > di) affinity[other].emplace_back(host, freq);
     }
     if (repaired) {
       // The repaired placement competes with simply keeping the initial;
@@ -115,25 +122,22 @@ AlgoResult AvalaAlgorithm::run(const model::DeploymentModel& model,
 
   // --- host ranking: sum of reliabilities + normalized bandwidths to other
   // hosts, plus normalized memory capacity -------------------------------
+  // Only stored links are visited, in ascending host order: an absent one
+  // would add +0.0 to the max and to the sum, which changes neither.
   std::vector<double> host_memory(k), host_conn(k, 0.0);
   double max_bw = 0.0;
   for (std::size_t a = 0; a < k; ++a) {
-    host_memory[a] = model.host(static_cast<model::HostId>(a)).memory_capacity;
-    for (std::size_t b = 0; b < k; ++b) {
-      if (a == b) continue;
-      max_bw = std::max(max_bw, model
-                                    .physical_link(static_cast<model::HostId>(a),
-                                                   static_cast<model::HostId>(b))
-                                    .bandwidth);
-    }
+    const auto host = static_cast<model::HostId>(a);
+    host_memory[a] = model.host(host).memory_capacity;
+    for (const model::HostId b : model.physical_neighbors(host))
+      max_bw = std::max(max_bw, model.physical_link(host, b).bandwidth);
   }
   if (max_bw <= 0.0) max_bw = 1.0;
   const double max_mem = max_or_one(host_memory);
   for (std::size_t a = 0; a < k; ++a) {
-    for (std::size_t b = 0; b < k; ++b) {
-      if (a == b) continue;
-      const model::PhysicalLink& link = model.physical_link(
-          static_cast<model::HostId>(a), static_cast<model::HostId>(b));
+    const auto host = static_cast<model::HostId>(a);
+    for (const model::HostId b : model.physical_neighbors(host)) {
+      const model::PhysicalLink& link = model.physical_link(host, b);
       host_conn[a] += link.reliability + link.bandwidth / max_bw;
     }
     host_conn[a] += host_memory[a] / max_mem;

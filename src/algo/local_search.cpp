@@ -24,6 +24,49 @@ void move_group(model::IncrementalEvaluator& inc, const ColocationGroups& groups
   for (const model::ComponentId c : groups.members[g]) inc.apply(c, h);
 }
 
+/// Marks the hosts a probe of one group must read links for: the current
+/// host of each interaction partner and that host's physical neighbors.
+/// Any other host has no stored link to a partner, so a move there is a far
+/// move (IncrementalEvaluator::apply_far). Epoch-stamped: starting a group
+/// costs nothing per host. Marking stops once every host is near, which on
+/// small densely linked fleets happens after a few partners.
+class NearHosts {
+ public:
+  explicit NearHosts(std::size_t k) : stamp_(k, 0), expanded_(k, 0) {}
+
+  void mark_partners(const model::DeploymentModel& model,
+                     const PlacementState& state,
+                     std::span<const std::uint32_t> partner_groups) {
+    ++epoch_;
+    near_count_ = 0;
+    for (const std::uint32_t p : partner_groups) {
+      if (near_count_ == stamp_.size()) return;
+      const model::HostId host = state.host_of_group(p);
+      if (expanded_[host] == epoch_) continue;  // partners often share hosts
+      expanded_[host] = epoch_;
+      mark(host);
+      for (const model::HostId neighbor : model.physical_neighbors(host))
+        mark(neighbor);
+    }
+  }
+
+  [[nodiscard]] bool near(model::HostId h) const {
+    return stamp_[h] == epoch_;
+  }
+
+ private:
+  void mark(model::HostId h) {
+    if (stamp_[h] == epoch_) return;
+    stamp_[h] = epoch_;
+    ++near_count_;
+  }
+
+  std::vector<std::uint32_t> stamp_;
+  std::vector<std::uint32_t> expanded_;  // partner hosts already marked
+  std::uint32_t epoch_ = 0;
+  std::size_t near_count_ = 0;
+};
+
 }  // namespace
 
 AlgoResult HillClimbAlgorithm::run(const model::DeploymentModel& model,
@@ -71,11 +114,19 @@ AlgoResult HillClimbAlgorithm::run(const model::DeploymentModel& model,
   if (inc) inc->reset(current);
 
   // Probes group `g` on host `h` (g currently removed from `state`, still on
-  // its old host in `inc`): returns the candidate objective value.
-  const auto probe = [&](std::uint32_t g, model::HostId from,
-                         model::HostId h) {
+  // its old host in `inc`): returns the candidate objective value. A far
+  // probe scores the outbound move without reading the link table; the
+  // return move reads the links of `from`, which stay in cache across the
+  // group's whole scan.
+  const auto probe = [&](std::uint32_t g, model::HostId from, model::HostId h,
+                         bool far) {
     if (inc) {
-      move_group(*inc, groups, g, h);
+      for (const model::ComponentId c : groups.members[g]) {
+        if (far)
+          inc->apply_far(c, h, from);
+        else
+          inc->apply(c, h);
+      }
       const double value = inc->value();
       search.consider_incremental(value, [&] {
         state.place(g, h);
@@ -99,13 +150,10 @@ AlgoResult HillClimbAlgorithm::run(const model::DeploymentModel& model,
   // Move candidates for the current pass: every group when cold, the dirty
   // neighbourhood when warm.
   std::vector<std::uint32_t> order;
-  std::vector<std::vector<std::uint32_t>> partners;  // warm only
-  std::vector<char> allowed;                         // warm only
-  if (warm) {
-    const std::vector<char> dirty =
-        warm_dirty_groups(groups, options.dirty_components);
-    for (std::uint32_t g = 0; g < g_count; ++g)
-      if (dirty[g]) order.push_back(g);
+  // Interaction partners per group: the warm worklist's wake-ups and the
+  // near hosts of a probe.
+  std::vector<std::vector<std::uint32_t>> partners;
+  if (warm || inc) {
     partners.resize(g_count);
     for (const model::Interaction& ix : model.interactions()) {
       const std::uint32_t ga = groups.group_of[ix.a];
@@ -115,6 +163,13 @@ AlgoResult HillClimbAlgorithm::run(const model::DeploymentModel& model,
         partners[gb].push_back(ga);
       }
     }
+  }
+  std::vector<char> allowed;  // warm only
+  if (warm) {
+    const std::vector<char> dirty =
+        warm_dirty_groups(groups, options.dirty_components);
+    for (std::uint32_t g = 0; g < g_count; ++g)
+      if (dirty[g]) order.push_back(g);
     // Candidate set: the dirty groups plus their direct interaction
     // partners, fixed up front. Without this bound the worklist grows
     // transitively — when the wider placement is not yet a local optimum,
@@ -131,6 +186,7 @@ AlgoResult HillClimbAlgorithm::run(const model::DeploymentModel& model,
     for (std::uint32_t g = 0; g < g_count; ++g) order[g] = g;
   }
 
+  NearHosts near_hosts(k);
   for (; passes < max_passes_; ++passes) {
     bool improved = false;
     std::vector<std::uint32_t> next_order;
@@ -147,12 +203,14 @@ AlgoResult HillClimbAlgorithm::run(const model::DeploymentModel& model,
       if (search.out_of_budget()) break;
       const model::HostId from = state.host_of_group(g);
       state.remove(g);
+      if (inc) near_hosts.mark_partners(model, state, partners[g]);
       model::HostId best_host = from;
       double best_value = current_value;
       for (std::size_t h = 0; h < k; ++h) {
         const auto host = static_cast<model::HostId>(h);
         if (host == from || !state.fits(g, host)) continue;
-        const double value = probe(g, from, host);
+        const double value =
+            probe(g, from, host, inc && !near_hosts.near(host));
         if (objective.improves(value, best_value)) {
           best_value = value;
           best_host = host;

@@ -149,14 +149,16 @@ void check_param_ranges(Ctx& ctx) {
                  " is not a finite non-negative number",
              "set a non-negative CPU load");
   }
-  // Stream the dense link matrix row by row (row a holds the pairs (a, b>a)
-  // contiguously). The raw entries of a pair physical_link() reports as
-  // disconnected fail the same absent-link test below, so the scan is exact.
+  // Walk the stored links in canonical (a, b > a) order through the model's
+  // host-adjacency index. A pair it does not index holds the all-zero entry,
+  // which the absent-link test below skips anyway, so the walk is exact;
+  // the raw entries of a pair physical_link() reports as disconnected fail
+  // the same test.
   const model::PhysicalLinkTable links = ctx.m.physical_link_table();
   for (std::size_t a = 0; a < ctx.k; ++a) {
-    const model::PhysicalLink* row = links.data + a * links.dim;
-    for (std::size_t b = a + 1; b < ctx.k; ++b) {
-      const model::PhysicalLink& link = row[b];
+    for (const HostId b : ctx.m.physical_neighbors(static_cast<HostId>(a))) {
+      if (b < a) continue;
+      const model::PhysicalLink& link = links.at(static_cast<HostId>(a), b);
       if (link.bandwidth <= 0.0 && link.reliability <= 0.0 &&
           !std::isnan(link.reliability) && !std::isnan(link.bandwidth))
         continue;  // absent link
@@ -349,30 +351,22 @@ void check_groups(Ctx& ctx, bool location_satisfiability,
   }
 }
 
-/// Per host, the hosts a physical link with bandwidth > 0 connects it to.
-using HostAdjacency = std::vector<std::vector<std::size_t>>;
-
-/// DeploymentModel::connected for every host pair, read in one contiguous
-/// row stream over the dense link matrix instead of k^2 bounds-checked calls.
-HostAdjacency host_adjacency(const DeploymentModel& m) {
-  const std::size_t k = m.host_count();
+/// Visits, in ascending order, the hosts a physical link with bandwidth > 0
+/// connects `h` to (DeploymentModel::connected): the model's stored-link
+/// index filtered, so the analyzer keeps no adjacency of its own.
+template <typename Visit>
+void for_each_connected(const DeploymentModel& m, std::size_t h,
+                        Visit&& visit) {
+  const auto host = static_cast<HostId>(h);
   const model::PhysicalLinkTable links = m.physical_link_table();
-  HostAdjacency adjacent(k);
-  for (std::size_t a = 0; a < k; ++a) {
-    const model::PhysicalLink* row = links.data + a * links.dim;
-    for (std::size_t b = a + 1; b < k; ++b) {
-      if (row[b].bandwidth <= 0.0) continue;
-      adjacent[a].push_back(b);
-      adjacent[b].push_back(a);
-    }
-  }
-  return adjacent;
+  for (const HostId other : m.physical_neighbors(host))
+    if (links.at(host, other).bandwidth > 0.0) visit(other);
 }
 
 /// Connected components of the physical network, labelled in order of their
 /// lowest host id.
-std::vector<std::size_t> network_components(const HostAdjacency& adjacent) {
-  const std::size_t k = adjacent.size();
+std::vector<std::size_t> network_components(const DeploymentModel& m) {
+  const std::size_t k = m.host_count();
   std::vector<std::size_t> label(k, k);  // k == unvisited
   std::size_t next = 0;
   std::vector<std::size_t> stack;
@@ -383,11 +377,11 @@ std::vector<std::size_t> network_components(const HostAdjacency& adjacent) {
     while (!stack.empty()) {
       const std::size_t h = stack.back();
       stack.pop_back();
-      for (const std::size_t other : adjacent[h]) {
-        if (label[other] != k) continue;
+      for_each_connected(m, h, [&](std::size_t other) {
+        if (label[other] != k) return;
         label[other] = next;
         stack.push_back(other);
-      }
+      });
     }
     ++next;
   }
@@ -416,9 +410,9 @@ PartitionHosts legal_hosts_in(std::span<const std::uint64_t> row,
   return out;
 }
 
-void check_network(Ctx& ctx, const HostAdjacency& adjacent) {
+void check_network(Ctx& ctx) {
   if (ctx.k == 0) return;
-  const std::vector<std::size_t> label = network_components(adjacent);
+  const std::vector<std::size_t> label = network_components(ctx.m);
   std::size_t partitions = 0;
   for (const std::size_t l : label) partitions = std::max(partitions, l + 1);
   // Host bitmask per partition, in the allow rows' word layout, so an
@@ -490,10 +484,12 @@ void check_regions(Ctx& ctx) {
   }
 }
 
-void check_lints(Ctx& ctx, const HostAdjacency& adjacent) {
+void check_lints(Ctx& ctx) {
   if (ctx.k > 1) {
     for (std::size_t h = 0; h < ctx.k; ++h) {
-      if (adjacent[h].empty())
+      bool isolated = true;
+      for_each_connected(ctx.m, h, [&](std::size_t) { isolated = false; });
+      if (isolated)
         ctx.report.add({Rule::kIsolatedHost,
                         Severity::kWarning,
                         {ctx.a.host_subject(h)},
@@ -595,12 +591,9 @@ CheckReport StaticAnalyzer::analyze(const AnalysisContext& context) const {
     check_groups(ctx, options_.location_satisfiability,
                  options_.capacity_bounds);
 
-  HostAdjacency adjacent;
-  if (options_.network_reachability || options_.lints)
-    adjacent = host_adjacency(ctx.m);
-  if (options_.network_reachability) check_network(ctx, adjacent);
+  if (options_.network_reachability) check_network(ctx);
   if (options_.region_awareness) check_regions(ctx);
-  if (options_.lints) check_lints(ctx, adjacent);
+  if (options_.lints) check_lints(ctx);
   return report;
 }
 

@@ -126,6 +126,7 @@ std::unique_ptr<SystemData> XadlLite::from_json(const json::Value& doc) {
   auto system = std::make_unique<SystemData>();
   model::DeploymentModel& m = system->model();
 
+  m.reserve_hosts(doc.at("hosts").as_array().size());
   for (const json::Value& entry : doc.at("hosts").as_array()) {
     model::Host host;
     host.name = entry.at("name").as_string();

@@ -1,6 +1,7 @@
 #include "model/deployment_model.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 
@@ -29,7 +30,14 @@ const LogicalLink& no_interaction() {
   return link;
 }
 
+bool nonzero_bits(double x) { return std::bit_cast<std::uint64_t>(x) != 0; }
+
 }  // namespace
+
+bool link_stored(const PhysicalLink& link) noexcept {
+  return nonzero_bits(link.reliability) || nonzero_bits(link.bandwidth) ||
+         nonzero_bits(link.delay_ms) || !link.properties.empty();
+}
 
 HostId DeploymentModel::add_host(Host host) {
   // Names are identifiers (xADL documents and the middleware's event
@@ -40,23 +48,30 @@ HostId DeploymentModel::add_host(Host host) {
                                   host.name + "'");
   const auto id = static_cast<HostId>(hosts_.size());
   hosts_.push_back(std::move(host));
-  if (hosts_.size() > phys_dim_) {
-    // Geometric regrowth keeps one-host-at-a-time construction amortized
-    // O(k^2) over the whole build instead of O(k^3).
-    const std::size_t new_dim = std::max<std::size_t>(hosts_.size(),
-                                                      phys_dim_ * 2);
-    std::vector<PhysicalLink> grown(new_dim * new_dim);
-    for (std::size_t i = 0; i < phys_dim_; ++i)
-      for (std::size_t j = i + 1; j < phys_dim_; ++j)
-        grown[i * new_dim + j] = std::move(physical_[i * phys_dim_ + j]);
-    physical_ = std::move(grown);
-    phys_dim_ = new_dim;
-  }
+  // Geometric regrowth keeps one-host-at-a-time construction amortized
+  // O(k^2) over the whole build instead of O(k^3).
+  if (hosts_.size() > phys_dim_)
+    grow_link_matrix(std::max<std::size_t>(hosts_.size(), phys_dim_ * 2));
   DIF_ASSERT(physical_.size() == phys_dim_ * phys_dim_ &&
                  phys_dim_ >= hosts_.size(),
              "link matrix must cover the host count");
+  // The new host has no links: its index row is empty.
+  if (!neighbors_dirty_) neighbor_offsets_.push_back(neighbor_offsets_.back());
   notify({.event = ModelEvent::kTopologyChanged, .host_a = id});
   return id;
+}
+
+void DeploymentModel::reserve_hosts(std::size_t n) {
+  if (n > phys_dim_) grow_link_matrix(n);
+}
+
+void DeploymentModel::grow_link_matrix(std::size_t dim) {
+  std::vector<PhysicalLink> grown(dim * dim);
+  for (std::size_t i = 0; i < phys_dim_; ++i)
+    for (std::size_t j = i + 1; j < phys_dim_; ++j)
+      grown[i * dim + j] = std::move(physical_[i * phys_dim_ + j]);
+  physical_ = std::move(grown);
+  phys_dim_ = dim;
 }
 
 ComponentId DeploymentModel::add_component(SoftwareComponent component) {
@@ -144,20 +159,26 @@ std::uint64_t DeploymentModel::logi_key(ComponentId a, ComponentId b) {
   return (static_cast<std::uint64_t>(lo) << 32) | hi;
 }
 
-void DeploymentModel::set_physical_link(HostId a, HostId b,
-                                        PhysicalLink link) {
+template <typename Update>
+void DeploymentModel::write_link(HostId a, HostId b, Update&& update) {
   if (a == b)
     throw std::invalid_argument("DeploymentModel: self physical link");
-  physical_[phys_index(a, b)] = std::move(link);
+  PhysicalLink& link = physical_[phys_index(a, b)];
+  const bool was_stored = link_stored(link);
+  update(link);
+  if (link_stored(link) != was_stored) neighbors_dirty_ = true;
   notify({.event = ModelEvent::kPhysicalLinkChanged, .host_a = a,
           .host_b = b});
 }
 
+void DeploymentModel::set_physical_link(HostId a, HostId b,
+                                        PhysicalLink link) {
+  write_link(a, b, [&](PhysicalLink& entry) { entry = std::move(link); });
+}
+
 void DeploymentModel::clear_physical_link(HostId a, HostId b) {
   if (a == b) return;
-  physical_[phys_index(a, b)] = PhysicalLink{};
-  notify({.event = ModelEvent::kPhysicalLinkChanged, .host_a = a,
-          .host_b = b});
+  write_link(a, b, [](PhysicalLink& entry) { entry = PhysicalLink{}; });
 }
 
 const PhysicalLink& DeploymentModel::physical_link(HostId a, HostId b) const {
@@ -175,30 +196,62 @@ bool DeploymentModel::connected(HostId a, HostId b) const {
   return physical_[phys_index(a, b)].bandwidth > 0.0;
 }
 
-PhysicalLink& DeploymentModel::phys_ref(HostId a, HostId b) {
-  if (a == b)
-    throw std::invalid_argument("DeploymentModel: self physical link");
-  return physical_[phys_index(a, b)];
+std::span<const HostId> DeploymentModel::physical_neighbors(HostId h) const {
+  check_host(h);
+  if (neighbors_dirty_) rebuild_neighbors();
+  DIF_ASSERT(neighbor_offsets_.size() == hosts_.size() + 1,
+             "neighbor index must have one row per host");
+  const std::uint32_t begin = neighbor_offsets_[h];
+  return {neighbors_.data() + begin, neighbor_offsets_[h + 1] - begin};
+}
+
+void DeploymentModel::rebuild_neighbors() const {
+  // One pass over the matrix's upper triangle collects the stored pairs in
+  // canonical (a, b) order; a counting sort then lays out the rows. Row x
+  // receives its lower neighbors (from earlier rows) before its upper ones,
+  // each in ascending order, so every row comes out sorted.
+  const std::size_t k = hosts_.size();
+  std::vector<std::pair<HostId, HostId>> pairs;
+  for (std::size_t a = 0; a < k; ++a) {
+    const PhysicalLink* row = physical_.data() + a * phys_dim_;
+    for (std::size_t b = a + 1; b < k; ++b)
+      if (link_stored(row[b]))
+        pairs.emplace_back(static_cast<HostId>(a), static_cast<HostId>(b));
+  }
+  neighbor_offsets_.assign(k + 1, 0);
+  for (const auto& [a, b] : pairs) {
+    ++neighbor_offsets_[a + 1];
+    ++neighbor_offsets_[b + 1];
+  }
+  for (std::size_t h = 0; h < k; ++h)
+    neighbor_offsets_[h + 1] += neighbor_offsets_[h];
+  neighbors_.resize(neighbor_offsets_[k]);
+  std::vector<std::uint32_t> cursor(neighbor_offsets_.begin(),
+                                    neighbor_offsets_.end() - 1);
+  for (const auto& [a, b] : pairs) {
+    neighbors_[cursor[a]++] = b;
+    neighbors_[cursor[b]++] = a;
+  }
+  neighbors_dirty_ = false;
 }
 
 void DeploymentModel::set_link_reliability(HostId a, HostId b,
                                            double reliability) {
-  phys_ref(a, b).reliability = reliability;
-  notify({.event = ModelEvent::kPhysicalLinkChanged, .host_a = a,
-          .host_b = b});
+  write_link(a, b,
+             [reliability](PhysicalLink& entry) {
+               entry.reliability = reliability;
+             });
 }
 
 void DeploymentModel::set_link_bandwidth(HostId a, HostId b,
                                          double bandwidth) {
-  phys_ref(a, b).bandwidth = bandwidth;
-  notify({.event = ModelEvent::kPhysicalLinkChanged, .host_a = a,
-          .host_b = b});
+  write_link(a, b,
+             [bandwidth](PhysicalLink& entry) { entry.bandwidth = bandwidth; });
 }
 
 void DeploymentModel::set_link_delay(HostId a, HostId b, double delay_ms) {
-  phys_ref(a, b).delay_ms = delay_ms;
-  notify({.event = ModelEvent::kPhysicalLinkChanged, .host_a = a,
-          .host_b = b});
+  write_link(a, b,
+             [delay_ms](PhysicalLink& entry) { entry.delay_ms = delay_ms; });
 }
 
 void DeploymentModel::set_logical_link(ComponentId a, ComponentId b,

@@ -96,6 +96,13 @@ struct ModelChange {
   ComponentId component_b = kNoComponent;
 };
 
+/// True when the model stores `link`: any of reliability, bandwidth or delay
+/// is not +0.0 (NaN and -0.0 count), or it carries properties. An entry that
+/// is not stored is bit-for-bit the default all-zero PhysicalLink, which is
+/// what the matrix holds for a host pair that was never linked or was
+/// cleared; physical_neighbors() indexes exactly the stored entries.
+[[nodiscard]] bool link_stored(const PhysicalLink& link) noexcept;
+
 /// Read-only view of the dense physical-link matrix for hot loops (the
 /// incremental evaluator's per-move term updates). `at(a, b)` matches
 /// physical_link(a, b) for a != b without the range checks or the
@@ -131,6 +138,11 @@ class DeploymentModel {
 
   HostId add_host(Host host);
   ComponentId add_component(SoftwareComponent component);
+
+  /// Sizes the physical-link matrix for `n` hosts up front, so that adding
+  /// them one by one never regrows it (a regrowth holds the old and the new
+  /// matrix at once). Does not add hosts.
+  void reserve_hosts(std::size_t n);
 
   [[nodiscard]] std::size_t host_count() const noexcept {
     return hosts_.size();
@@ -182,6 +194,13 @@ class DeploymentModel {
 
   /// True when a != b and a physical link with bandwidth > 0 exists.
   [[nodiscard]] bool connected(HostId a, HostId b) const;
+
+  /// The hosts `h` has a stored physical link to (see link_stored), in
+  /// ascending id order: O(degree) instead of a k-entry matrix row. Built
+  /// lazily as a CSR index and rebuilt only after a write flips some pair
+  /// between stored and absent, so monitor updates to existing links keep
+  /// it. The span is invalidated by any such write and by add_host.
+  [[nodiscard]] std::span<const HostId> physical_neighbors(HostId h) const;
 
   /// Raw dense-matrix view for hot loops; see PhysicalLinkTable.
   [[nodiscard]] PhysicalLinkTable physical_link_table() const noexcept {
@@ -256,7 +275,12 @@ class DeploymentModel {
   void check_host(HostId id) const;
   void check_component(ComponentId id) const;
   void notify(const ModelChange& change);
-  PhysicalLink& phys_ref(HostId a, HostId b);
+  /// Writes `update` into the stored entry of (a, b), marking the neighbor
+  /// index stale when the write flips the pair between stored and absent.
+  template <typename Update>
+  void write_link(HostId a, HostId b, Update&& update);
+  void grow_link_matrix(std::size_t dim);
+  void rebuild_neighbors() const;
 
   std::vector<Host> hosts_;
   std::vector<SoftwareComponent> components_;
@@ -274,6 +298,11 @@ class DeploymentModel {
 
   mutable std::vector<Interaction> interactions_cache_;
   mutable bool interactions_dirty_ = true;
+  /// CSR host adjacency over the stored links: the neighbors of h are
+  /// neighbors_[neighbor_offsets_[h] .. neighbor_offsets_[h + 1]).
+  mutable std::vector<std::uint32_t> neighbor_offsets_;
+  mutable std::vector<HostId> neighbors_;
+  mutable bool neighbors_dirty_ = true;
 
   std::vector<std::pair<std::size_t, Listener>> listeners_;
   std::vector<std::pair<std::size_t, DetailListener>> detail_listeners_;

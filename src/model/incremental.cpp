@@ -2,7 +2,31 @@
 
 #include <algorithm>
 
+#include "util/assert.h"
+
 namespace dif::model {
+
+namespace {
+
+/// The link lookup of a far move to host h: the table for the pair (h, from),
+/// and for every other pair the absent link, the default all-zero entry the
+/// matrix holds where no link is stored. The kernel calls it with the moving
+/// component's new host first and only for two distinct assigned hosts.
+struct FarLinks {
+  PhysicalLinkTable table;
+  HostId from = kNoHost;
+};
+
+const PhysicalLink kAbsentLink{};
+
+const PhysicalLink& link_between(const FarLinks& far, HostId h, HostId other) {
+  if (other == far.from) return far.table.at(h, other);
+  DIF_ASSERT(!link_stored(far.table.at(h, other)),
+             "a far move may skip only absent links");
+  return kAbsentLink;
+}
+
+}  // namespace
 
 std::optional<PairwiseDecomposition> PairwiseDecomposition::try_create(
     const Objective& objective, const DeploymentModel& m) {
@@ -128,18 +152,37 @@ void IncrementalEvaluator::reset_terms() {
   }
 }
 
-template <TermKind kKind>
-void IncrementalEvaluator::apply_terms(ComponentId c, HostId h) {
+template <TermKind kKind, typename Links>
+void IncrementalEvaluator::apply_terms(ComponentId c, HostId h,
+                                       const Links& links) {
   const std::uint32_t begin = adj_offsets_[c];
   const std::uint32_t end = adj_offsets_[c + 1];
   for (std::uint32_t j = begin; j < end; ++j) {
     const std::uint32_t index = adj_ix_[j];
     const double updated =
-        interaction_term<kKind>(links_, ix_freq_[index], ix_size_[index], h,
+        interaction_term<kKind>(links, ix_freq_[index], ix_size_[index], h,
                                 assignment_[adj_other_[j]],
                                 decomposition_.penalty_ms_);
     sum_ += updated - term_[index];
     term_[index] = updated;
+  }
+}
+
+template <typename Links>
+void IncrementalEvaluator::move(ComponentId c, HostId h, const Links& links) {
+  if (assignment_.at(c) == h) return;
+  assignment_[c] = h;
+  ++moves_;
+  switch (decomposition_.kind_) {
+    case TermKind::kAvailability:
+      apply_terms<TermKind::kAvailability>(c, h, links);
+      break;
+    case TermKind::kLatency:
+      apply_terms<TermKind::kLatency>(c, h, links);
+      break;
+    case TermKind::kCommCost:
+      apply_terms<TermKind::kCommCost>(c, h, links);
+      break;
   }
 }
 
@@ -163,20 +206,11 @@ void IncrementalEvaluator::reset(const Deployment& d) {
 }
 
 void IncrementalEvaluator::apply(ComponentId c, HostId h) {
-  if (assignment_.at(c) == h) return;
-  assignment_[c] = h;
-  ++moves_;
-  switch (decomposition_.kind_) {
-    case TermKind::kAvailability:
-      apply_terms<TermKind::kAvailability>(c, h);
-      break;
-    case TermKind::kLatency:
-      apply_terms<TermKind::kLatency>(c, h);
-      break;
-    case TermKind::kCommCost:
-      apply_terms<TermKind::kCommCost>(c, h);
-      break;
-  }
+  move(c, h, links_);
+}
+
+void IncrementalEvaluator::apply_far(ComponentId c, HostId h, HostId from) {
+  move(c, h, FarLinks{links_, from});
 }
 
 }  // namespace dif::model

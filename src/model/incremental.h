@@ -109,6 +109,16 @@ class IncrementalEvaluator {
   /// apply() calls; intra-group terms settle once all members have moved.
   void apply(ComponentId c, HostId h);
 
+  /// apply() for a far move: the caller knows that `h` has no stored
+  /// physical link (see link_stored) to the host of any of c's interaction
+  /// partners other than `from`, c's host before its group started moving.
+  /// Every remote pair except (h, from) is then scored over the all-zero
+  /// link without reading the table. The kernel runs the same floating-point
+  /// operations in the same order as apply(), on the value the table would
+  /// have returned, so the result is bit-identical; only the cache misses of
+  /// reading k-strided matrix entries are gone.
+  void apply_far(ComponentId c, HostId h, HostId from);
+
   /// Raw objective value of the current assignment.
   [[nodiscard]] double value() const { return decomposition_.finalize(sum_); }
 
@@ -137,10 +147,14 @@ class IncrementalEvaluator {
   IncrementalEvaluator(PairwiseDecomposition decomposition,
                        const DeploymentModel& m);
 
+  /// One move, its terms read through `links`: the table for apply(), a
+  /// far move's view of it for apply_far().
+  template <typename Links>
+  void move(ComponentId c, HostId h, const Links& links);
   /// The term loops, one instantiation per objective kind so that the
   /// kind switch runs once per call, not once per interaction.
-  template <TermKind kKind>
-  void apply_terms(ComponentId c, HostId h);
+  template <TermKind kKind, typename Links>
+  void apply_terms(ComponentId c, HostId h, const Links& links);
   template <TermKind kKind>
   void reset_terms();
 

@@ -4,6 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <span>
+#include <vector>
+
+#include "util/rng.h"
 
 namespace dif::model {
 namespace {
@@ -173,6 +178,165 @@ TEST(DeploymentModel, RejectsDuplicateNames) {
   EXPECT_THROW(m.add_component({.name = "c"}), std::invalid_argument);
   // Host and component namespaces are independent.
   EXPECT_NO_THROW(m.add_component({.name = "h"}));
+}
+
+}  // namespace
+}  // namespace dif::model
+
+namespace dif::model {
+namespace {
+
+Host named_host(std::string name) {
+  Host host;
+  host.name = std::move(name);
+  return host;
+}
+
+PhysicalLink make_link(double reliability, double bandwidth,
+                       double delay_ms = 0.0) {
+  PhysicalLink link;
+  link.reliability = reliability;
+  link.bandwidth = bandwidth;
+  link.delay_ms = delay_ms;
+  return link;
+}
+
+/// A link is stored when a field is anything but +0.0 (NaN and -0.0
+/// included) or it carries properties; written independently of the model.
+bool stored_by_fields(const PhysicalLink& link) {
+  const auto nonzero = [](double x) {
+    return x != 0.0 || std::isnan(x) || std::signbit(x);
+  };
+  return nonzero(link.reliability) || nonzero(link.bandwidth) ||
+         nonzero(link.delay_ms) || !link.properties.empty();
+}
+
+/// The index must equal a brute-force scan of every host pair.
+void expect_index_matches_scan(const DeploymentModel& m, int step) {
+  const PhysicalLinkTable table = m.physical_link_table();
+  for (HostId h = 0; h < m.host_count(); ++h) {
+    std::vector<HostId> expected;
+    for (HostId other = 0; other < m.host_count(); ++other)
+      if (other != h && stored_by_fields(table.at(h, other)))
+        expected.push_back(other);
+    const std::span<const HostId> got = m.physical_neighbors(h);
+    ASSERT_EQ(std::vector<HostId>(got.begin(), got.end()), expected)
+        << "host " << h << " after step " << step;
+  }
+}
+
+double draw_field(util::Xoshiro256ss& rng) {
+  constexpr double kValues[] = {0.0, -0.0,
+                                std::numeric_limits<double>::quiet_NaN(),
+                                0.5, 1.0, -2.0};
+  return kValues[rng.index(std::size(kValues))];
+}
+
+/// One random write: whole links, single fields (zero <-> non-zero, NaN),
+/// clears, new hosts and reservations.
+void random_write(DeploymentModel& m, util::Xoshiro256ss& rng) {
+  const std::size_t k = m.host_count();
+  const auto a = static_cast<HostId>(rng.index(k));
+  auto b = static_cast<HostId>(rng.index(k - 1));
+  if (b >= a) ++b;
+  switch (rng.index(8)) {
+    case 0: {
+      PhysicalLink link = make_link(draw_field(rng), draw_field(rng),
+                                    draw_field(rng));
+      if (rng.chance(0.2)) link.properties.set("security", 1.0);
+      m.set_physical_link(a, b, std::move(link));
+      break;
+    }
+    case 1:
+      m.set_link_reliability(a, b, draw_field(rng));
+      break;
+    case 2:
+      m.set_link_bandwidth(a, b, draw_field(rng));
+      break;
+    case 3:
+      m.set_link_delay(a, b, draw_field(rng));
+      break;
+    case 4:
+    case 5:
+      m.clear_physical_link(a, b);
+      break;
+    case 6:
+      m.add_host(named_host("x" + std::to_string(k)));
+      break;
+    default:
+      m.reserve_hosts(k + rng.index(6));
+      break;
+  }
+}
+
+TEST(HostAdjacency, MatchesMatrixScanUnderRandomWrites) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    util::Xoshiro256ss rng(seed);
+    DeploymentModel m;
+    for (int h = 0; h < 5; ++h) m.add_host(named_host("h" + std::to_string(h)));
+    for (int step = 0; step < 400; ++step) {
+      random_write(m, rng);
+      // Query only some of the time, so writes also pile up on a stale
+      // index before the next rebuild.
+      if (rng.chance(0.5)) expect_index_matches_scan(m, step);
+    }
+    expect_index_matches_scan(m, 400);
+  }
+}
+
+TEST(HostAdjacency, CopiesKeepIndependentIndexes) {
+  util::Xoshiro256ss rng(9);
+  DeploymentModel m;
+  for (int h = 0; h < 8; ++h) m.add_host(named_host("h" + std::to_string(h)));
+  for (int step = 0; step < 60; ++step) random_write(m, rng);
+  expect_index_matches_scan(m, 0);
+  DeploymentModel copy = m;
+  expect_index_matches_scan(copy, 0);
+  for (int step = 0; step < 60; ++step) {
+    random_write(copy, rng);
+    random_write(m, rng);
+    expect_index_matches_scan(copy, step);
+    expect_index_matches_scan(m, step);
+  }
+}
+
+TEST(HostAdjacency, NeighborsAreSortedAndSymmetric) {
+  DeploymentModel m;
+  for (int h = 0; h < 4; ++h) m.add_host(named_host("h" + std::to_string(h)));
+  m.set_physical_link(3, 1, make_link(0.9, 10.0));
+  m.set_physical_link(1, 0, make_link(0.5, 5.0));
+  m.set_physical_link(2, 1, make_link(0.0, 0.0, 4.0));  // delay alone
+  const auto n1 = m.physical_neighbors(1);
+  EXPECT_EQ(std::vector<HostId>(n1.begin(), n1.end()),
+            (std::vector<HostId>{0, 2, 3}));
+  const auto n3 = m.physical_neighbors(3);
+  EXPECT_EQ(std::vector<HostId>(n3.begin(), n3.end()),
+            (std::vector<HostId>{1}));
+  // A monitor write that zeroes one field of a link keeps it stored.
+  m.set_link_reliability(1, 3, 0.0);
+  EXPECT_EQ(m.physical_neighbors(3).size(), 1u);
+  m.clear_physical_link(1, 3);
+  EXPECT_TRUE(m.physical_neighbors(3).empty());
+  EXPECT_THROW((void)m.physical_neighbors(4), std::out_of_range);
+}
+
+TEST(HostAdjacency, ReservedMatrixDoesNotRegrow) {
+  DeploymentModel m;
+  m.reserve_hosts(40);
+  m.add_host(named_host("h0"));
+  const PhysicalLink* data = m.physical_link_table().data;
+  EXPECT_EQ(m.physical_link_table().dim, 40u);
+  for (int h = 1; h < 40; ++h) {
+    m.add_host(named_host("h" + std::to_string(h)));
+    m.set_physical_link(static_cast<HostId>(h - 1), static_cast<HostId>(h),
+                        make_link(0.5, 1.0));
+  }
+  EXPECT_EQ(m.physical_link_table().data, data);
+  EXPECT_EQ(m.physical_link(0, 1).reliability, 0.5);
+  // Growing past the reservation regrows and keeps the links.
+  m.add_host(named_host("h40"));
+  EXPECT_EQ(m.physical_link(38, 39).bandwidth, 1.0);
+  expect_index_matches_scan(m, 0);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // checks the delta bookkeeping; test_objective_golden pins the values.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <ostream>
@@ -117,6 +118,96 @@ TEST_P(IncrementalEquivalenceTest, ThousandsOfRandomMovesMatchFullEvaluate) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEquivalenceTest,
                          ::testing::ValuesIn(equivalence_cases()));
+
+/// A far move (apply_far) must land on the same bits as apply(): the
+/// hill climb's probes switch between the two per host. Groups of one or two
+/// interacting components move to hosts with no stored link to any outside
+/// partner's host; some stay, some return, and partners are occasionally
+/// unassigned so every branch of every term is taken.
+TEST(IncrementalEvaluator, FarMovesMatchApplyBitForBit) {
+  auto system = desi::Generator::generate(
+      {.hosts = 40,
+       .components = 80,
+       .link_density = 2.0 / 40.0,
+       .interaction_density = 3.0 / 80.0},
+      21);
+  DeploymentModel& m = system->model();
+  for (HostId a = 0; a < m.host_count(); a += 3)
+    for (HostId b = a + 1; b < m.host_count(); ++b)
+      if (m.connected(a, b)) m.set_link_reliability(a, b, 0.0);
+  std::vector<std::vector<ComponentId>> partners(m.component_count());
+  for (const Interaction& ix : m.interactions()) {
+    partners[ix.a].push_back(ix.b);
+    partners[ix.b].push_back(ix.a);
+  }
+
+  const AvailabilityObjective availability;
+  const LatencyObjective latency(777.0);
+  const CommunicationCostObjective comm_cost;
+  const Objective* objectives[] = {&availability, &latency, &comm_cost};
+  for (const Objective* objective : objectives) {
+    auto plain = IncrementalEvaluator::try_create(*objective, m);
+    auto far = IncrementalEvaluator::try_create(*objective, m);
+    ASSERT_TRUE(plain.has_value() && far.has_value());
+    plain->reset(system->deployment());
+    far->reset(system->deployment());
+    util::Xoshiro256ss rng(77);
+    std::size_t far_moves = 0;
+    for (std::size_t step = 0; step < 4000; ++step) {
+      const auto c = static_cast<ComponentId>(rng.index(m.component_count()));
+      if (rng.chance(0.03)) {  // unassign or reassign a partner
+        const HostId h = plain->host_of(c) == kNoHost
+                             ? static_cast<HostId>(rng.index(m.host_count()))
+                             : kNoHost;
+        plain->apply(c, h);
+        far->apply(c, h);
+        continue;
+      }
+      const HostId from = plain->host_of(c);
+      if (from == kNoHost) continue;
+      std::vector<ComponentId> group{c};
+      if (!partners[c].empty() && rng.chance(0.5)) {
+        const ComponentId mate = partners[c][rng.index(partners[c].size())];
+        plain->apply(mate, from);
+        far->apply(mate, from);
+        group.push_back(mate);
+      }
+      std::vector<char> near(m.host_count(), 0);
+      near[from] = 1;
+      for (const ComponentId member : group)
+        for (const ComponentId p : partners[member]) {
+          if (p == group.front() || p == group.back()) continue;
+          const HostId ph = plain->host_of(p);
+          if (ph == kNoHost) continue;
+          near[ph] = 1;
+          for (const HostId n : m.physical_neighbors(ph)) near[n] = 1;
+        }
+      std::vector<HostId> candidates;
+      for (HostId h = 0; h < m.host_count(); ++h)
+        if (!near[h]) candidates.push_back(h);
+      if (candidates.empty()) continue;
+      const HostId to = candidates[rng.index(candidates.size())];
+      for (const ComponentId member : group) {
+        plain->apply(member, to);
+        far->apply_far(member, to, from);
+      }
+      ++far_moves;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(far->value()),
+                std::bit_cast<std::uint64_t>(plain->value()))
+          << objective->name() << " at step " << step;
+      if (rng.chance(0.5))
+        for (const ComponentId member : group) {
+          plain->apply(member, from);
+          far->apply(member, from);
+        }
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(far->value()),
+                std::bit_cast<std::uint64_t>(plain->value()))
+          << objective->name() << " at step " << step;
+    }
+    EXPECT_GT(far_moves, 1000u) << objective->name();
+    EXPECT_EQ(far->moves_applied(), plain->moves_applied());
+  }
+}
 
 TEST(IncrementalEvaluator, ScoreMatchesObjectiveScore) {
   const auto system = make_system(3);
