@@ -24,15 +24,6 @@ class EscalationPolicy {
     std::vector<std::string> ladder = {"avala", "hillclimb", "annealing"};
     /// Consecutive improvement-free analyses before climbing a rung.
     std::size_t stall_threshold = 3;
-
-    /// The default ladder with the parallel portfolio as its final rung —
-    /// when every single algorithm stalls, race them all. The analyzer's
-    /// Policy resolves the name "portfolio" (see CentralizedAnalyzer).
-    static Config with_portfolio_rung() {
-      Config config;
-      config.ladder.push_back("portfolio");
-      return config;
-    }
   };
 
   explicit EscalationPolicy(Config config);

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "chaos/overlap_ledger.h"
+#include "util/rng.h"
 
 namespace dif::chaos {
 
@@ -20,14 +21,15 @@ std::string_view to_string(FaultKind kind) noexcept {
       return "crash";
     case FaultKind::kNoise:
       return "noise";
-    case FaultKind::kSuspend:
-      return "suspend";
   }
   return "unknown";
 }
 
-namespace detail {
+namespace {
 
+// Draws `spec`'s fault counts against `m`'s topology into `out`, reserving
+// every emitted window in `ledger` (8 redraw attempts per fault, then the
+// fault is skipped).
 void draw_scenario_actions(const ScenarioSpec& spec,
                            const model::DeploymentModel& m,
                            model::HostId master_host, util::Xoshiro256ss& rng,
@@ -64,7 +66,7 @@ void draw_scenario_actions(const ScenarioSpec& spec,
         FaultAction action;
         action.kind = kind;
         std::size_t lane_target = 0;
-        if (kind == FaultKind::kCrash || kind == FaultKind::kSuspend) {
+        if (kind == FaultKind::kCrash) {
           if (crashable.empty()) return;
           action.a = action.b = crashable[rng.index(crashable.size())];
           lane_target = action.a;
@@ -93,18 +95,6 @@ void draw_scenario_actions(const ScenarioSpec& spec,
   emit(FaultKind::kNoise, spec.noise_bursts);
 }
 
-}  // namespace detail
-
-namespace {
-
-void sort_actions(std::vector<FaultAction>& actions) {
-  std::sort(actions.begin(), actions.end(),
-            [](const FaultAction& x, const FaultAction& y) {
-              return std::tie(x.at_ms, x.kind, x.a, x.b, x.duration_ms) <
-                     std::tie(y.at_ms, y.kind, y.a, y.b, y.duration_ms);
-            });
-}
-
 }  // namespace
 
 FaultSchedule FaultSchedule::compile(const ScenarioSpec& spec,
@@ -120,18 +110,12 @@ FaultSchedule FaultSchedule::compile(const ScenarioSpec& spec,
       util::Xoshiro256ss(seed).fork(/*stream_id=*/0xc4a05u);
 
   OverlapLedger ledger;
-  detail::draw_scenario_actions(spec, m, master_host, rng, ledger,
-                                schedule.actions_);
-  sort_actions(schedule.actions_);
-  return schedule;
-}
-
-FaultSchedule FaultSchedule::assemble(ScenarioSpec spec,
-                                      std::vector<FaultAction> actions) {
-  FaultSchedule schedule;
-  schedule.spec_ = std::move(spec);
-  schedule.actions_ = std::move(actions);
-  sort_actions(schedule.actions_);
+  draw_scenario_actions(spec, m, master_host, rng, ledger, schedule.actions_);
+  std::sort(schedule.actions_.begin(), schedule.actions_.end(),
+            [](const FaultAction& x, const FaultAction& y) {
+              return std::tie(x.at_ms, x.kind, x.a, x.b, x.duration_ms) <
+                     std::tie(y.at_ms, y.kind, y.a, y.b, y.duration_ms);
+            });
   return schedule;
 }
 
@@ -182,12 +166,6 @@ void FaultInjector::inject(const FaultAction& action) {
     case FaultKind::kCrash:
       inst_.crash_host(action.a);
       break;
-    case FaultKind::kSuspend:
-      // Network-only outage: the host drops off the wire but its admin and
-      // components keep their state (GC pause / SIGSTOP), so heal needs no
-      // administrative restart.
-      net.fail_host(action.a);
-      break;
     case FaultKind::kNoise:
       saved = net.link(action.a, action.b);
       oscillate(action, saved, action.at_ms + action.duration_ms,
@@ -219,9 +197,6 @@ void FaultInjector::heal(const FaultAction& action,
     }
     case FaultKind::kCrash:
       inst_.restart_host(action.a);
-      break;
-    case FaultKind::kSuspend:
-      net.recover_host(action.a);
       break;
   }
   if (obs_.trace && span != obs::TraceLog::kInvalidSpan)

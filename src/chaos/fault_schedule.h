@@ -25,7 +25,6 @@
 #include "core/centralized_instantiation.h"
 #include "model/deployment_model.h"
 #include "obs/instruments.h"
-#include "util/rng.h"
 
 namespace dif::chaos {
 
@@ -35,8 +34,6 @@ enum class FaultKind {
   kDegrade,     // link (a, b) bandwidth/delay squeezed
   kCrash,       // host a crashes (admin state loss), restarts at heal
   kNoise,       // link (a, b) reliability oscillates at noise_period_ms
-  kSuspend,     // host a unreachable, process state preserved (GC pause /
-                // SIGSTOP); resumes at heal without an admin restart
 };
 
 [[nodiscard]] std::string_view to_string(FaultKind kind) noexcept;
@@ -61,13 +58,6 @@ class FaultSchedule {
                                              model::HostId master_host,
                                              std::uint64_t seed);
 
-  /// Wraps pre-drawn actions (the WorkloadSpec combinator's output) into a
-  /// schedule, sorting them into canonical (at_ms, kind, a, b, duration)
-  /// order. `spec` supplies the injector's magnitudes (burst reliability,
-  /// degrade factors, noise shape).
-  [[nodiscard]] static FaultSchedule assemble(ScenarioSpec spec,
-                                              std::vector<FaultAction> actions);
-
   [[nodiscard]] const std::vector<FaultAction>& actions() const noexcept {
     return actions_;
   }
@@ -77,21 +67,6 @@ class FaultSchedule {
   ScenarioSpec spec_;
   std::vector<FaultAction> actions_;
 };
-
-class OverlapLedger;
-
-namespace detail {
-/// Draws `spec`'s fault counts against `m`'s topology into `out`,
-/// reserving every emitted window in `ledger` (8 redraw attempts per
-/// fault, then the fault is skipped). FaultSchedule::compile is this over
-/// a fresh ledger; workload layers call it with a shared one so stacked
-/// scenarios never fight over a link field or a host's liveness.
-void draw_scenario_actions(const ScenarioSpec& spec,
-                           const model::DeploymentModel& m,
-                           model::HostId master_host, util::Xoshiro256ss& rng,
-                           OverlapLedger& ledger,
-                           std::vector<FaultAction>& out);
-}  // namespace detail
 
 class FaultInjector {
  public:

@@ -1,12 +1,10 @@
-// Fault-window overlap bookkeeping, shared by every schedule compiler.
+// Fault-window overlap bookkeeping for FaultSchedule::compile.
 //
 // Two faults fighting over the same link field (or the same host's
 // liveness) would make heal-time state restoration ambiguous — the second
 // heal would resurrect the first fault's degraded values. A fault is only
 // emitted when its [at, at+duration) window is free on its (field-group,
-// target) lane. FaultSchedule::compile and the WorkloadSpec combinator
-// reserve lanes from one shared ledger, which is what lets independently
-// authored workload layers stack without conflicting heals.
+// target) lane; the compiler redraws a fault whose lane is taken.
 #pragma once
 
 #include <cstddef>
@@ -20,7 +18,7 @@ namespace dif::chaos {
 
 /// Field groups for the ledger: partitions own the severed flag,
 /// loss/noise own reliability, degradations own bandwidth+delay, crashes
-/// and suspensions own host liveness.
+/// own host liveness.
 inline constexpr int kGroupSevered = 0;
 inline constexpr int kGroupReliability = 1;
 inline constexpr int kGroupThroughput = 2;
@@ -36,7 +34,6 @@ inline constexpr int kGroupLiveness = 3;
     case FaultKind::kDegrade:
       return kGroupThroughput;
     case FaultKind::kCrash:
-    case FaultKind::kSuspend:
       return kGroupLiveness;
   }
   return kGroupSevered;

@@ -27,15 +27,4 @@ void preflight(const model::DeploymentModel& model,
   if (!report.ok()) throw PreflightError(std::move(report));
 }
 
-CheckReport preflight_plan_report(const std::vector<PlanTask>& plan,
-                                  const PlanContext& context) {
-  return MigrationPlanChecker().check(plan, context);
-}
-
-void preflight_plan(const std::vector<PlanTask>& plan,
-                    const PlanContext& context) {
-  CheckReport report = preflight_plan_report(plan, context);
-  if (!report.ok()) throw PreflightError(std::move(report));
-}
-
 }  // namespace dif::check

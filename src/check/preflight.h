@@ -19,9 +19,7 @@
 #pragma once
 
 #include <stdexcept>
-#include <vector>
 
-#include "check/plan_check.h"
 #include "check/static_analyzer.h"
 
 namespace dif::check {
@@ -51,18 +49,5 @@ class PreflightError : public std::invalid_argument {
 /// diagnostic is found.
 void preflight(const model::DeploymentModel& model,
                const model::ConstraintSet& set);
-
-/// Plan admission (check/plan_check.h) as a report: structural hazards
-/// (conflicting tasks, custody mismatches, dangling hosts) plus capacity
-/// feasibility for hosts the context models.
-[[nodiscard]] CheckReport preflight_plan_report(
-    const std::vector<PlanTask>& plan, const PlanContext& context);
-
-/// Plan admission; throws PreflightError when the plan has error-severity
-/// defects. The DeployerComponent runs the same checker inline (rejecting
-/// with a closed `aborted` round instead of an exception); this entry point
-/// is for callers that build plans outside the deployer.
-void preflight_plan(const std::vector<PlanTask>& plan,
-                    const PlanContext& context);
 
 }  // namespace dif::check

@@ -121,38 +121,34 @@ std::size_t DecentralizedInstantiation::gossip_sync() {
 
     // Origin-owned measurements: reliabilities of adjacent links...
     prism::ByteWriter rels;
+    rels.u32(0);  // count, patched below
     std::uint32_t rel_count = 0;
-    prism::ByteWriter rel_body;
     for (std::size_t g = 0; g < k; ++g) {
       const auto peer = static_cast<model::HostId>(g);
       if (peer == origin || !lm.connected(origin, peer)) continue;
-      rel_body.u32(peer);
-      rel_body.f64(lm.physical_link(origin, peer).reliability);
+      rels.u32(peer);
+      rels.f64(lm.physical_link(origin, peer).reliability);
       ++rel_count;
     }
-    rels.u32(rel_count);
-    const std::vector<std::uint8_t> rel_tail = rel_body.take();
-    rels.raw(rel_tail);
+    rels.patch_u32(0, rel_count);
 
     // ...and the interaction frequencies its own components observed.
     prism::Architecture& arch = substrate_->architecture(origin);
     prism::ByteWriter freqs;
+    freqs.u32(0);  // count, patched below
     std::uint32_t freq_count = 0;
-    prism::ByteWriter freq_body;
     for (const model::Interaction& ix : lm.interactions()) {
       const bool owns_endpoint =
           arch.find_component(lm.component(ix.a).name) ||
           arch.find_component(lm.component(ix.b).name);
       if (!owns_endpoint) continue;
-      freq_body.str(lm.component(ix.a).name);
-      freq_body.str(lm.component(ix.b).name);
-      freq_body.f64(ix.frequency);
-      freq_body.f64(ix.avg_event_size);
+      freqs.str(lm.component(ix.a).name);
+      freqs.str(lm.component(ix.b).name);
+      freqs.f64(ix.frequency);
+      freqs.f64(ix.avg_event_size);
       ++freq_count;
     }
-    freqs.u32(freq_count);
-    const std::vector<std::uint8_t> freq_tail = freq_body.take();
-    freqs.raw(freq_tail);
+    freqs.patch_u32(0, freq_count);
 
     const std::vector<std::uint8_t> rels_blob = rels.take();
     const std::vector<std::uint8_t> freqs_blob = freqs.take();

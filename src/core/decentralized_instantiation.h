@@ -29,7 +29,7 @@ class DecentralizedInstantiation {
     /// either the voting or the polling protocol"): when enabled, every
     /// auction outcome is put to a vote among the auction's participants,
     /// each judging the move from its own partial model; a majority must
-    /// accept before the migration is effected.
+    /// accept before the migration is effected. Polling is not reproduced.
     bool ratify_moves = false;
     /// A participant accepts when its local utility delta >= -tolerance.
     double vote_tolerance = 0.0;

@@ -125,41 +125,38 @@ HealController::HealController(core::CentralizedInstantiation& instantiation,
         RecoveryPlanner::Options opts = config_.planner;
         if (config_.seed != 0) opts.seed = config_.seed;
         return opts;
-      }()) {
-  // Default substitute state: a fresh WorkloadComponent wired with the
-  // pristine model's logical links (counters reset; epoch 1 so the restored
-  // instance auto-starts on attach — see WorkloadComponent::on_attached).
-  state_provider_ = [this](const std::string& name)
-      -> std::optional<prism::RecoveredComponent> {
-    const model::DeploymentModel& m = pristine_.model();
-    for (model::ComponentId c = 0; c < m.component_count(); ++c) {
-      if (m.component(c).name != name) continue;
-      prism::RecoveredComponent rc;
-      rc.type = "workload";
-      rc.memory_kb = m.component(c).memory_size;
-      prism::ByteWriter writer;
-      writer.f64(rc.memory_kb);
-      writer.u64(0);  // sent
-      writer.u64(0);  // received
-      writer.u64(1);  // epoch: auto-start after attach
-      std::vector<const model::Interaction*> links;
-      for (const model::Interaction& ix : m.interactions())
-        if (ix.a == c || ix.b == c) links.push_back(&ix);
-      writer.u32(static_cast<std::uint32_t>(links.size()));
-      for (const model::Interaction* ix : links) {
-        writer.str(m.component(ix->a == c ? ix->b : ix->a).name);
-        writer.f64(ix->frequency);
-        writer.f64(ix->avg_event_size);
-      }
-      rc.state = writer.take();
-      return rc;
-    }
-    return std::nullopt;
-  };
-}
+      }()) {}
 
-void HealController::set_state_provider(StateProvider provider) {
-  state_provider_ = std::move(provider);
+// Substitute state for a component lost with its host: a fresh
+// WorkloadComponent wired with the pristine model's logical links (counters
+// reset; epoch 1 so the restored instance auto-starts on attach — see
+// WorkloadComponent::on_attached).
+std::optional<prism::RecoveredComponent> HealController::recovered_state(
+    const std::string& name) const {
+  const model::DeploymentModel& m = pristine_.model();
+  for (model::ComponentId c = 0; c < m.component_count(); ++c) {
+    if (m.component(c).name != name) continue;
+    prism::RecoveredComponent rc;
+    rc.type = "workload";
+    rc.memory_kb = m.component(c).memory_size;
+    prism::ByteWriter writer;
+    writer.f64(rc.memory_kb);
+    writer.u64(0);  // sent
+    writer.u64(0);  // received
+    writer.u64(1);  // epoch: auto-start after attach
+    std::vector<const model::Interaction*> links;
+    for (const model::Interaction& ix : m.interactions())
+      if (ix.a == c || ix.b == c) links.push_back(&ix);
+    writer.u32(static_cast<std::uint32_t>(links.size()));
+    for (const model::Interaction* ix : links) {
+      writer.str(m.component(ix->a == c ? ix->b : ix->a).name);
+      writer.f64(ix->frequency);
+      writer.f64(ix->avg_event_size);
+    }
+    rc.state = writer.take();
+    return rc;
+  }
+  return std::nullopt;
 }
 
 void HealController::start() {
@@ -277,7 +274,7 @@ void HealController::dispatch_pending(double now_ms) {
 
   std::map<std::string, prism::RecoveredComponent> lost;
   for (const std::string& name : plan.lost)
-    if (auto state = state_provider_(name)) lost.emplace(name, *state);
+    if (auto state = recovered_state(name)) lost.emplace(name, *state);
 
   if (record_index < recoveries_.size())
     recoveries_[record_index].components = plan.lost.size();

@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -115,18 +114,11 @@ struct HealConfig {
 /// liveness probe with the deployer and schedules detector ticks.
 class HealController {
  public:
-  /// Substitute state for components lost with their host, keyed by name.
-  using StateProvider = std::function<
-      std::optional<prism::RecoveredComponent>(const std::string& name)>;
-
-  /// `instantiation` and `pristine` must outlive the controller. The
-  /// default state provider reconstitutes lost components as fresh
-  /// WorkloadComponents configured from the pristine model's logical links.
+  /// `instantiation` and `pristine` must outlive the controller. Lost
+  /// components are reconstituted as fresh WorkloadComponents configured
+  /// from the pristine model's logical links.
   HealController(core::CentralizedInstantiation& instantiation,
                  const desi::SystemData& pristine, HealConfig config);
-
-  /// Replaces the default state provider (tests, non-workload components).
-  void set_state_provider(StateProvider provider);
 
   void start();
   void stop() noexcept { running_ = false; }
@@ -183,13 +175,14 @@ class HealController {
   void on_condemned(model::HostId host, double now_ms);
   void on_rejoined(model::HostId host, double now_ms);
   [[nodiscard]] std::vector<model::HostId> unsafe_hosts(double now_ms) const;
+  [[nodiscard]] std::optional<prism::RecoveredComponent> recovered_state(
+      const std::string& name) const;
 
   core::CentralizedInstantiation& inst_;
   const desi::SystemData& pristine_;
   HealConfig config_;
   PhiAccrualDetector detector_;
   RecoveryPlanner planner_;
-  StateProvider state_provider_;
   bool running_ = false;
 
   std::map<model::HostId, HostState> states_;

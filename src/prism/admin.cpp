@@ -79,20 +79,18 @@ void AdminComponent::collect_and_report() {
   // Component inventory (every report; it is tiny). Encoding: u32 count,
   // then per record: str name, f64 memory_kb.
   {
-    ByteWriter body;
+    ByteWriter list;
+    list.u32(0);  // count, patched below
     std::uint32_t count = 0;
     for (const std::string& name : architecture()->component_names()) {
       if (name.rfind("__", 0) == 0) continue;  // skip meta components
       const Component* c = architecture()->find_component(name);
-      body.str(name);
-      body.f64(c ? c->memory_kb() : 0.0);
+      list.str(name);
+      list.f64(c ? c->memory_kb() : 0.0);
       ++count;
     }
-    ByteWriter full;
-    full.u32(count);
-    const std::vector<std::uint8_t> tail = body.take();
-    full.raw(tail);
-    report.set("components", full.take());
+    list.patch_u32(0, count);
+    report.set("components", list.take());
   }
 
   const auto filter_for = [this](const std::string& key) -> StabilityFilter& {
@@ -120,7 +118,8 @@ void AdminComponent::collect_and_report() {
           obs_.metrics->counter("monitor.filter.samples").add(1);
       }
     }
-    ByteWriter body;
+    ByteWriter list;
+    list.u32(0);  // count, patched below
     std::uint32_t count = 0;
     for (const auto& [key, pf] : latest) {
       const std::optional<double> stable =
@@ -130,22 +129,20 @@ void AdminComponent::collect_and_report() {
         if (stable) obs_.metrics->counter("monitor.filter.stable").add(1);
       }
       if (!stable) continue;
-      body.str(pf.from);
-      body.str(pf.to);
-      body.f64(*stable);
-      body.f64(pf.avg_event_size_kb);
+      list.str(pf.from);
+      list.str(pf.to);
+      list.f64(*stable);
+      list.f64(pf.avg_event_size_kb);
       ++count;
     }
-    ByteWriter full;
-    full.u32(count);
-    const std::vector<std::uint8_t> tail = body.take();
-    full.raw(tail);
-    report.set("freqs", full.take());
+    list.patch_u32(0, count);
+    report.set("freqs", list.take());
   }
 
   // Link reliabilities from the pinging monitor, stability-gated likewise.
   if (reliability_monitor_) {
-    ByteWriter body;
+    ByteWriter list;
+    list.u32(0);  // count, patched below
     std::uint32_t count = 0;
     for (const NetworkReliabilityMonitor::PeerReliability& pr :
          reliability_monitor_->collect()) {
@@ -156,15 +153,12 @@ void AdminComponent::collect_and_report() {
         if (stable) obs_.metrics->counter("monitor.filter.stable").add(1);
       }
       if (!stable) continue;
-      body.u32(pr.peer);
-      body.f64(*stable);
+      list.u32(pr.peer);
+      list.f64(*stable);
       ++count;
     }
-    ByteWriter full;
-    full.u32(count);
-    const std::vector<std::uint8_t> tail = body.take();
-    full.raw(tail);
-    report.set("rels", full.take());
+    list.patch_u32(0, count);
+    report.set("rels", list.take());
   }
 
   if (obs_.metrics) obs_.metrics->counter("admin.reports").add(1);

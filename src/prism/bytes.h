@@ -33,6 +33,9 @@ class ByteWriter {
   void bytes(std::span<const std::uint8_t> v);
   /// Appends raw bytes with no length prefix (concatenating sub-writers).
   void raw(std::span<const std::uint8_t> v);
+  /// Overwrites the u32 written at byte `offset` (a count reserved before
+  /// the list it prefixes was known).
+  void patch_u32(std::size_t offset, std::uint32_t v);
 
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
   [[nodiscard]] std::vector<std::uint8_t> take() noexcept {

@@ -241,18 +241,7 @@ bool DeployerComponent::begin_round(
       ++liveness_rejected_;
       if (obs_.metrics)
         obs_.metrics->counter("deploy.liveness_rejected").add(1);
-      RoundRecord record;
-      record.epoch = epoch_;
-      record.outcome = TxnOutcome::kAborted;
-      record.moves_requested = plan.size();
-      record.declared = checkpoint;
-      for (const MigrationTask& t : plan)
-        record.proposed.emplace(t.component, t.to);
-      history_.push_back(std::move(record));
-      last_outcome_ = TxnOutcome::kAborted;
-      ++rounds_rolled_back_;
-      if (obs_.metrics) obs_.metrics->counter("deploy.txn.aborted").add(1);
-      finish(false);
+      abort_unopened_round(plan, checkpoint);
       return true;
     }
   }
@@ -274,8 +263,7 @@ bool DeployerComponent::begin_round(
     return true;
   }
 
-  if (deployer_params_.preflight_plans && preflight_reject(plan, checkpoint))
-    return true;
+  if (preflight_reject(plan, checkpoint)) return true;
 
   current_target_ = target;
   // Recovery rounds always keep what they managed to restore: rolling a
@@ -318,9 +306,13 @@ bool DeployerComponent::preflight_reject(
                  last_preflight_->render_text());
   ++plans_rejected_;
   if (obs_.metrics) obs_.metrics->counter("deploy.preflight_rejected").add(1);
+  abort_unopened_round(plan, checkpoint);
+  return true;
+}
 
-  // Close as `aborted` without the round ever starting: nothing moved, so
-  // the declared placement is the checkpoint itself.
+void DeployerComponent::abort_unopened_round(
+    const std::vector<MigrationTask>& plan,
+    const std::map<std::string, model::HostId>& checkpoint) {
   RoundRecord record;
   record.epoch = epoch_;
   record.outcome = TxnOutcome::kAborted;
@@ -333,24 +325,20 @@ bool DeployerComponent::preflight_reject(
   ++rounds_rolled_back_;
   if (obs_.metrics) obs_.metrics->counter("deploy.txn.aborted").add(1);
   finish(false);
-  return true;
 }
 
 void DeployerComponent::send_prepare() {
   ++prepare_attempts_;
   // Plan blob: u32 count, then per record: str component, u32 target host,
   // f64 memory footprint (0 when no monitor report mentioned it yet).
-  ByteWriter body;
-  for (const MigrationTask& task : round_.tasks()) {
-    body.str(task.component);
-    body.u32(task.to);
-    const auto it = component_memory_kb_.find(task.component);
-    body.f64(it != component_memory_kb_.end() ? it->second : 0.0);
-  }
   ByteWriter blob;
   blob.u32(static_cast<std::uint32_t>(round_.tasks().size()));
-  const std::vector<std::uint8_t> tail = body.take();
-  blob.raw(tail);
+  for (const MigrationTask& task : round_.tasks()) {
+    blob.str(task.component);
+    blob.u32(task.to);
+    const auto it = component_memory_kb_.find(task.component);
+    blob.f64(it != component_memory_kb_.end() ? it->second : 0.0);
+  }
   std::vector<std::uint8_t> plan_blob = blob.take();
 
   // Sample the admission throttle once per fan-out: a ratekeeper can cap
@@ -504,7 +492,8 @@ void DeployerComponent::start_commit() {
 void DeployerComponent::broadcast_new_config() {
   // Serialize desired configuration + currently believed locations. Built
   // fresh on every (re)broadcast so locations reflect partial progress.
-  ByteWriter config_body;
+  ByteWriter config;
+  config.u32(0);  // count, patched below
   std::uint32_t config_count = 0;
   for (const auto& [component, host] : current_target_) {
     // Recovered components cannot be requested from their dead source; the
@@ -512,31 +501,26 @@ void DeployerComponent::broadcast_new_config() {
     // so the broadcast config omits them (admins acting on the broadcast
     // would only spam the dead host with __request_component retries).
     if (recovery_payloads_.count(component) > 0) continue;
-    config_body.str(component);
-    config_body.u32(host);
+    config.str(component);
+    config.u32(host);
     ++config_count;
   }
-  ByteWriter config;
-  config.u32(config_count);
-  const std::vector<std::uint8_t> config_tail = config_body.take();
-  config.raw(config_tail);
+  config.patch_u32(0, config_count);
   const std::vector<std::uint8_t> config_blob = config.take();
 
-  ByteWriter location_body;
+  ByteWriter locations;
+  locations.u32(0);  // count, patched below
   std::uint32_t location_count = 0;
   for (const auto& [component, host] : current_target_) {
     if (recovery_payloads_.count(component) > 0) continue;
     if (const std::optional<model::HostId> current =
             connector().location(component)) {
-      location_body.str(component);
-      location_body.u32(*current);
+      locations.str(component);
+      locations.u32(*current);
       ++location_count;
     }
   }
-  ByteWriter locations;
-  locations.u32(location_count);
-  const std::vector<std::uint8_t> location_tail = location_body.take();
-  locations.raw(location_tail);
+  locations.patch_u32(0, location_count);
   const std::vector<std::uint8_t> locations_blob = locations.take();
 
   for (const model::HostId admin_host : deployer_params_.admin_hosts) {

@@ -101,13 +101,7 @@ class DeployerComponent final : public AdminComponent {
     /// Graceful degradation: keep the migrations that completed when the
     /// round rolls back (close as `partial`) instead of compensating them.
     bool allow_partial = false;
-    /// Static plan admission (check/plan_check.h) before any __prepare:
-    /// structurally defective plans — duplicate/conflicting tasks, custody
-    /// mismatches, targets outside the admin fleet, certain capacity
-    /// vetoes — close as `aborted` immediately instead of burning a
-    /// prepare round trip.
-    bool preflight_plans = true;
-    /// Per-host memory capacities for the preflight's capacity leg,
+    /// Per-host memory capacities for the plan preflight's capacity leg,
     /// mirroring AdminComponent::Params::memory_capacity_kb. Hosts absent
     /// from the map (the default) are unmodelled: only the structural
     /// checks fire for plans touching them.
@@ -321,10 +315,18 @@ class DeployerComponent final : public AdminComponent {
   /// Highest custody version heard per component (from __location_update).
   std::map<std::string, std::uint64_t> custody_beliefs_;
   std::uint64_t liveness_rejected_ = 0;
-  /// Rejects a statically-defective plan: closes the round as `aborted`
-  /// without sending a single __prepare. Returns true when rejected.
+  /// Static plan admission (check/plan_check.h) before any __prepare:
+  /// structurally defective plans — duplicate/conflicting tasks, custody
+  /// mismatches, targets outside the admin fleet, certain capacity vetoes —
+  /// are rejected instead of burning a prepare round trip. Returns true
+  /// when rejected (the round is then closed by abort_unopened_round).
   bool preflight_reject(const std::vector<MigrationTask>& plan,
                         const std::map<std::string, model::HostId>& checkpoint);
+  /// Closes a round that never opened as `aborted`: nothing moved, so the
+  /// declared placement is the checkpoint itself.
+  void abort_unopened_round(
+      const std::vector<MigrationTask>& plan,
+      const std::map<std::string, model::HostId>& checkpoint);
 
   /// Component memory footprints gleaned from monitor reports; feeds the
   /// prepare plan so admins can reserve capacity for inbound components.

@@ -1,9 +1,8 @@
 // Tests for analyzers: execution profile, centralized algorithm-selection
-// policy and latency guard, and decentralized voting/polling protocols.
+// policy and latency guard, and the escalation meta-policy.
 #include <gtest/gtest.h>
 
 #include "analyzer/centralized.h"
-#include "analyzer/decentralized.h"
 #include "desi/generator.h"
 
 namespace dif::analyzer {
@@ -198,126 +197,6 @@ TEST(CentralizedAnalyzer, LatencyGuardDirectVeto) {
   EXPECT_NE(decision.reason.find("vetoed"), std::string::npos);
   ASSERT_EQ(profile.redeployments().size(), 1u);
   EXPECT_FALSE(profile.redeployments()[0].applied);
-}
-
-TEST(VotingProtocol, MajorityRules) {
-  const VotingProtocol voting(0.0);
-  // Utilities: 3 positive, 2 negative -> accept.
-  const std::vector<double> utilities{1.0, 0.5, 0.1, -1.0, -2.0};
-  EXPECT_TRUE(voting.decide(5, [&](model::HostId h) { return utilities[h]; }));
-  EXPECT_EQ(voting.last_votes(), (std::vector<bool>{true, true, true, false,
-                                                    false}));
-  // 2 positive, 3 negative -> reject.
-  const std::vector<double> worse{1.0, 0.5, -0.1, -1.0, -2.0};
-  EXPECT_FALSE(voting.decide(5, [&](model::HostId h) { return worse[h]; }));
-}
-
-TEST(VotingProtocol, ToleranceAcceptsSmallLosses) {
-  const VotingProtocol tolerant(0.5);
-  const std::vector<double> utilities{-0.4, -0.4, -0.4};
-  EXPECT_TRUE(
-      tolerant.decide(3, [&](model::HostId h) { return utilities[h]; }));
-  const VotingProtocol strict(0.0);
-  EXPECT_FALSE(
-      strict.decide(3, [&](model::HostId h) { return utilities[h]; }));
-}
-
-TEST(VotingProtocol, TieIsRejected) {
-  const VotingProtocol voting;
-  const std::vector<double> utilities{1.0, -1.0};
-  EXPECT_FALSE(
-      voting.decide(2, [&](model::HostId h) { return utilities[h]; }));
-}
-
-TEST(PollingProtocol, AggregateGainDecides) {
-  const PollingProtocol polling(0.0);
-  // One big winner outweighs two small losers (voting would reject this).
-  const std::vector<double> utilities{10.0, -1.0, -2.0};
-  EXPECT_TRUE(
-      polling.decide(3, [&](model::HostId h) { return utilities[h]; }));
-  EXPECT_DOUBLE_EQ(polling.last_total(), 7.0);
-  const std::vector<double> losses{1.0, -1.0, -2.0};
-  EXPECT_FALSE(polling.decide(3, [&](model::HostId h) { return losses[h]; }));
-}
-
-TEST(DecentralizedAnalyzer, AcceptsImprovingDecApResult) {
-  const auto system = desi::Generator::generate(
-      {.hosts = 5, .components = 14, .link_density = 1.0}, 11);
-  const model::ConstraintChecker checker(system->model(),
-                                         system->constraints());
-  const model::AvailabilityObjective availability;
-  const algo::AwarenessGraph awareness =
-      algo::AwarenessGraph::from_links(system->model());
-  DecentralizedAnalyzer analyzer({.protocol =
-                                      DecentralizedAnalyzer::Protocol::kVoting,
-                                  .threshold = 0.5});
-  const Decision decision =
-      analyzer.analyze(system->model(), availability, checker,
-                       system->deployment(), awareness, 11);
-  if (decision.migrations == 0) {
-    EXPECT_EQ(decision.action, Decision::Action::kKeep);
-    return;
-  }
-  // The analyzer's verdict must match an independent run of the voting
-  // protocol over the same utility deltas.
-  const auto terms =
-      model::PairwiseDecomposition::or_availability(availability,
-                                                    system->model());
-  const LocalUtility delta = [&](model::HostId host) {
-    return local_utility(system->model(), terms, decision.target, awareness,
-                         host) -
-           local_utility(system->model(), terms, system->deployment(),
-                         awareness, host);
-  };
-  const bool expected =
-      VotingProtocol(0.5).decide(system->model().host_count(), delta);
-  EXPECT_EQ(decision.action == Decision::Action::kRedeploy, expected);
-  EXPECT_NE(decision.reason.find("vote"), std::string::npos);
-}
-
-TEST(DecentralizedAnalyzer, PollingPathProducesDecision) {
-  const auto system = desi::Generator::generate(
-      {.hosts = 4, .components = 10, .link_density = 1.0}, 12);
-  const model::ConstraintChecker checker(system->model(),
-                                         system->constraints());
-  const model::AvailabilityObjective availability;
-  const algo::AwarenessGraph awareness = algo::AwarenessGraph::full(4);
-  DecentralizedAnalyzer analyzer(
-      {.protocol = DecentralizedAnalyzer::Protocol::kPolling,
-       .threshold = 0.0});
-  const Decision decision =
-      analyzer.analyze(system->model(), availability, checker,
-                       system->deployment(), awareness, 12);
-  EXPECT_EQ(decision.algorithm, "decap");
-  if (decision.action == Decision::Action::kRedeploy) {
-    EXPECT_NE(decision.reason.find("poll"), std::string::npos);
-  }
-}
-
-TEST(LocalUtility, CountsOnlyAwarePartners) {
-  model::DeploymentModel m;
-  m.add_host({.name = "h0"});
-  m.add_host({.name = "h1"});
-  m.add_host({.name = "h2"});
-  m.add_component({.name = "a"});
-  m.add_component({.name = "b"});
-  m.add_component({.name = "c"});
-  m.set_physical_link(0, 1, {.reliability = 0.5, .bandwidth = 10.0});
-  m.set_physical_link(1, 2, {.reliability = 0.5, .bandwidth = 10.0});
-  m.set_logical_link(0, 1, {.frequency = 2.0, .avg_event_size = 1.0});
-  m.set_logical_link(0, 2, {.frequency = 4.0, .avg_event_size = 1.0});
-  const model::Deployment d(std::vector<model::HostId>{0, 1, 2});
-  const auto terms = model::PairwiseDecomposition::or_availability(
-      model::AvailabilityObjective(), m);
-
-  // Full awareness: host 0 sees both of a's interactions.
-  const double full =
-      local_utility(m, terms, d, algo::AwarenessGraph::full(3), 0);
-  EXPECT_DOUBLE_EQ(full, 2.0 * 0.5 + 4.0 * 0.0);  // h0-h2 unlinked: rel 0
-  // Link-derived awareness: host 0 is unaware of host 2 entirely.
-  const double partial =
-      local_utility(m, terms, d, algo::AwarenessGraph::from_links(m), 0);
-  EXPECT_DOUBLE_EQ(partial, 2.0 * 0.5);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 
 #include "chaos/campaign.h"
 #include "check/plan_check.h"
-#include "check/preflight.h"
 #include "check/resilience.h"
 #include "desi/generator.h"
 #include "model/constraints.h"
@@ -322,16 +321,6 @@ TEST(PlanCheck, FreeFunctionAuditsThePostPlanPlacement) {
   const Diagnostic* diag = find_rule(report, Rule::kPlacementLocation);
   ASSERT_NE(diag, nullptr);
   EXPECT_EQ(diag->message.rfind("post-plan: ", 0), 0u);
-}
-
-// --- preflight entry points ------------------------------------------------
-
-TEST(PlanCheck, PreflightPlanThrowsOnErrors) {
-  PlanContext ctx;
-  ctx.host_count = 2;
-  EXPECT_NO_THROW(preflight_plan({{"a", 0, 1}}, ctx));
-  EXPECT_THROW(preflight_plan({{"a", 0, 1}, {"a", 1, 0}}, ctx),
-               PreflightError);
 }
 
 // --- diagnostic JSON escaping ----------------------------------------------

@@ -428,6 +428,74 @@ TEST(Decentralized, RatifiedSweepStillImproves) {
   }
 }
 
+/// Two hosts over a 0.5-reliability link. Host 0 holds c0 and c1 (light
+/// interaction, 1 event/s); c2 sits pinned on host 1 and talks to c0
+/// heavily (10 events/s), so host 1 outbids host 0 for c0. Moving c0 costs
+/// the auctioneer 1 - 0.5 = 0.5 of local utility and gains the winner
+/// 10 - 5 = 5: the two-voter ballot splits unless the tolerance covers the
+/// auctioneer's loss.
+std::unique_ptr<desi::SystemData> split_vote_system() {
+  auto system = std::make_unique<desi::SystemData>();
+  model::DeploymentModel& m = system->model();
+  const model::HostId h0 = m.add_host(
+      {.name = "h0", .memory_capacity = 256, .properties = {}});
+  const model::HostId h1 = m.add_host(
+      {.name = "h1", .memory_capacity = 256, .properties = {}});
+  m.set_physical_link(h0, h1, {.reliability = 0.5, .bandwidth = 1'000,
+                               .delay_ms = 1, .properties = {}});
+  const model::ComponentId c0 =
+      m.add_component({.name = "c0", .memory_size = 8, .properties = {}});
+  const model::ComponentId c1 =
+      m.add_component({.name = "c1", .memory_size = 8, .properties = {}});
+  const model::ComponentId c2 =
+      m.add_component({.name = "c2", .memory_size = 8, .properties = {}});
+  m.set_logical_link(
+      c0, c1, {.frequency = 1.0, .avg_event_size = 0.1, .properties = {}});
+  m.set_logical_link(
+      c0, c2, {.frequency = 10.0, .avg_event_size = 0.1, .properties = {}});
+  system->constraints().pin(c2, h1);
+  system->sync_deployment_size();
+  model::Deployment initial(3);
+  initial.assign(c0, h0);
+  initial.assign(c1, h0);
+  initial.assign(c2, h1);
+  system->set_deployment(initial);
+  return system;
+}
+
+TEST(Decentralized, SplitVoteIsRejected) {
+  auto system = split_vote_system();
+  DecentralizedInstantiation::Config config;
+  config.ratify_moves = true;
+  config.vote_tolerance = 0.0;  // the auctioneer's 0.5 loss is a "no"
+  DecentralizedInstantiation fleet(*system, config);
+  fleet.start();
+  fleet.simulator().run_until(2'000.0);
+  EXPECT_EQ(fleet.auction_sweep(1), 0u);
+  EXPECT_EQ(fleet.votes_held(), 1u);  // host 0 auctioned c0; host 1 won
+  EXPECT_EQ(fleet.votes_rejected(), fleet.votes_held());
+  fleet.simulator().run_until(fleet.simulator().now() + 20'000.0);
+  EXPECT_EQ(fleet.runtime_deployment(), system->deployment());
+}
+
+TEST(Decentralized, ToleranceCoveringTheAuctioneersLossPassesTheMove) {
+  auto system = split_vote_system();
+  DecentralizedInstantiation::Config config;
+  config.ratify_moves = true;
+  config.vote_tolerance = 1.0;  // covers the auctioneer's 0.5 loss
+  DecentralizedInstantiation fleet(*system, config);
+  fleet.start();
+  fleet.simulator().run_until(2'000.0);
+  EXPECT_EQ(fleet.auction_sweep(1), 1u);
+  EXPECT_EQ(fleet.votes_held(), 1u);
+  EXPECT_EQ(fleet.votes_rejected(), 0u);
+  fleet.simulator().run_until(fleet.simulator().now() + 20'000.0);
+  const model::Deployment after = fleet.runtime_deployment();
+  EXPECT_EQ(after.host_of(0), 1u);  // c0 joined c2 on host 1
+  EXPECT_EQ(after.host_of(1), 0u);
+  EXPECT_EQ(after.host_of(2), 1u);
+}
+
 }  // namespace
 }  // namespace dif::core
 

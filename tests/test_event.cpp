@@ -64,6 +64,18 @@ TEST(ByteWriter, RawAppendsWithoutPrefix) {
   EXPECT_EQ(outer.size(), 2u);
 }
 
+TEST(ByteWriter, PatchU32OverwritesAReservedCount) {
+  ByteWriter w;
+  w.u32(0);
+  w.str("ab");
+  w.patch_u32(0, 7);
+  const auto buffer = w.take();
+  ByteReader r(buffer);
+  EXPECT_EQ(r.u32(), 7u);
+  EXPECT_EQ(r.str(), "ab");
+  EXPECT_TRUE(r.exhausted());
+}
+
 TEST(Event, ParameterAccessors) {
   Event e("app.msg");
   e.set("count", 4.0);
