@@ -108,8 +108,8 @@ struct CampaignConfig {
 };
 
 /// Campaign configuration for the recovery reference runs (`difctl heal`,
-/// bench_recovery, the CI recovery smoke): killhost scenario, centralized
-/// only, recovery enabled, and a generator with genuine capacity pressure.
+/// tests/test_heal.cpp): killhost scenario, centralized only, recovery
+/// enabled, and a generator with genuine capacity pressure.
 /// The default campaign generator leaves hosts roomy enough that the exact
 /// solver collocates the entire system on one host (availability 1.0) at
 /// the first improvement tick — any host killed after that is empty and
@@ -185,8 +185,9 @@ struct CampaignReport {
 /// Appends the post-run invariant verdicts (conservation, census,
 /// atomicity, availability, preflight, audit) for a finished centralized
 /// run to `report.violations`. Factored out of run_centralized_once so
-/// bench_campaign can time the invariant judge in isolation; the epoch and
-/// convergence invariants live in the runner (they need mid-run samples).
+/// perfbench's workloads can judge runs they wire up themselves; the epoch
+/// and convergence invariants live in the runner (they need mid-run
+/// samples).
 void judge_centralized_invariants(core::CentralizedInstantiation& inst,
                                   const desi::SystemData& system,
                                   const desi::SystemData& pristine,

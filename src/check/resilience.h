@@ -17,7 +17,7 @@
 //                      between the survivors.
 //
 // Every diagnostic carries the failing host set as its witness, so a
-// consumer (or ci.sh) can independently replay the failure and confirm the
+// consumer (or a test) can independently replay the failure and confirm the
 // loss. All findings are warnings: an unreplicated model is degraded, not
 // invalid.
 #pragma once

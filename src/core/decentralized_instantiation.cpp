@@ -385,8 +385,8 @@ std::size_t DecentralizedInstantiation::auction_sweep(std::uint64_t seed) {
       locations.str(m.component(component).name);
       locations.u32(auctioneer);
       new_config.set("locations", locations.take());
-      substrate_->architecture(winner).post_to(prism::admin_name(winner),
-                                               new_config);
+      substrate_->architecture(winner).post_to(
+          prism::intern(prism::admin_name(winner)), new_config);
       ++stats_.messages;
       ++migrations;
     }

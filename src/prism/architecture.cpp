@@ -121,14 +121,6 @@ double Architecture::total_memory_kb() const {
   return total;
 }
 
-void Architecture::post_to(const std::string& component, const Event& event) {
-  post_to(intern(component), Event(event));
-}
-
-void Architecture::post_to(const std::string& component, Event&& event) {
-  post_to(intern(component), std::move(event));
-}
-
 void Architecture::post_to(NameId component, const Event& event) {
   post_to(component, Event(event));
 }

@@ -71,9 +71,6 @@ class Architecture final : public Brick {
   /// As above, moving `event` into the dispatch closure instead of copying
   /// it (events deserialized off the network are posted this way).
   void post_to(NameId component, Event&& event);
-  /// By name, for cold callers.
-  void post_to(const std::string& component, const Event& event);
-  void post_to(const std::string& component, Event&& event);
 
   /// Handler for events whose destination vanished (migration buffering).
   /// It gets the dispatch closure's event as an rvalue, so it can keep or

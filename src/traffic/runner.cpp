@@ -156,24 +156,22 @@ RunResult run_traffic(const RunOptions& options) {
   std::unique_ptr<desi::SystemData> heal_pristine;
   std::unique_ptr<heal::HealController> healer;
   double slo_repair_attrib_ms = 0.0;
+  double last_slo = 0.0;
+  std::function<void()> sampler;  // queued copies refer to it by reference
   if (options.recovery) {
     heal_pristine = desi::Generator::generate(options.generator,
                                               options.seed);
     heal::HealConfig hc = options.heal;
     hc.seed = options.seed + 1;
     healer = std::make_unique<heal::HealController>(inst, *heal_pristine, hc);
-    auto last_slo = std::make_shared<double>(0.0);
-    auto sampler = std::make_shared<std::function<void()>>();
-    *sampler = [&inst, &ratekeeper, &healer, &slo_repair_attrib_ms, last_slo,
-                sampler, horizon = options.duration_ms] {
+    sampler = [&, horizon = options.duration_ms] {
       const double now = ratekeeper.slo_violation_ms();
-      if (healer->repair_in_flight())
-        slo_repair_attrib_ms += now - *last_slo;
-      *last_slo = now;
+      if (healer->repair_in_flight()) slo_repair_attrib_ms += now - last_slo;
+      last_slo = now;
       if (inst.simulator().now() < horizon)
-        inst.simulator().schedule_after(1'000.0, [sampler] { (*sampler)(); });
+        inst.simulator().schedule_after(1'000.0, sampler);
     };
-    inst.simulator().schedule_after(1'000.0, [sampler] { (*sampler)(); });
+    inst.simulator().schedule_after(1'000.0, sampler);
   }
 
   inst.start();

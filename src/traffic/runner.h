@@ -1,5 +1,5 @@
-// TrafficRunner: the one code path behind `difctl traffic`, bench_traffic,
-// and tests/test_traffic.cpp.
+// TrafficRunner: the one code path behind `difctl traffic` and the traffic
+// tests (tests/test_traffic.cpp, tests/test_heal.cpp).
 //
 // Generates a system, builds the centralized instantiation with the
 // ratekeeper's PrepareThrottle cell bound into the deployer, starts the
@@ -7,7 +7,7 @@
 // scenario and forces periodic redeployments (so migrations demonstrably
 // run *under load*), and renders one deterministic "dif-traffic-v1" JSON
 // report — the same seeded options always yield byte-identical bytes,
-// which is what the CI smoke and the determinism test pin.
+// which is what the determinism test pins.
 #pragma once
 
 #include <cstdint>

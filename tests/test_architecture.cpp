@@ -99,7 +99,7 @@ TEST(Routing, DirectedToUnknownGoesToUndeliverableHandler) {
   Event e("lost");
   e.set_to("ghost");
   // Inject through the connector as if from outside.
-  f.arch.post_to("ghost", e);
+  f.arch.post_to(e.to_id(), e);
   f.sim.run();
   ASSERT_EQ(undelivered.size(), 1u);
   EXPECT_EQ(undelivered[0].name(), "lost");

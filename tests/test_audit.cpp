@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 #include "chaos/campaign.h"
@@ -242,6 +243,39 @@ TEST(Resilience, RegionLossNamesItsHostsAsWitness) {
   const Diagnostic* diag = find_rule(report, Rule::kResilienceRegion);
   ASSERT_NE(diag, nullptr);
   EXPECT_EQ(diag->witness, (std::vector<std::string>{"h0", "h1"}));
+}
+
+TEST(Resilience, GeneratedTwoRegionModelNamesModelHostsAsWitnesses) {
+  // A generated, constrained, unreplicated model over two regions: its
+  // initial placement audits error-free, while single hosts and whole
+  // regions are provable points of failure whose witnesses are model hosts.
+  desi::GeneratorSpec spec;
+  spec.hosts = 6;
+  spec.components = 16;
+  spec.regions = 2;
+  spec.location_constraints = 4;
+  spec.colocation_pairs = 2;
+  spec.anti_colocation_pairs = 2;
+  const auto system = desi::Generator::generate(spec, 3);
+  const DeploymentModel& m = system->model();
+  EXPECT_EQ(PlacementAuditor()
+                .audit(m, system->constraints(), system->deployment())
+                .error_count(),
+            0u);
+  const CheckReport report = ResilienceProver().prove(m, system->deployment());
+  EXPECT_EQ(report.error_count(), 0u);
+
+  std::set<std::string> hosts;
+  for (HostId h = 0; h < m.host_count(); ++h) hosts.insert(m.host(h).name);
+  std::size_t spofs = 0;
+  for (const Diagnostic& d : report.diagnostics()) {
+    if (d.rule != Rule::kResilienceSpof) continue;
+    ++spofs;
+    EXPECT_FALSE(d.witness.empty()) << d.message;
+    for (const std::string& w : d.witness) EXPECT_TRUE(hosts.count(w)) << w;
+  }
+  EXPECT_GT(spofs, 0u);
+  EXPECT_TRUE(report.has(Rule::kResilienceRegion));
 }
 
 TEST(Resilience, SingleRegionModelEmitsNoRegionFindings) {

@@ -183,15 +183,15 @@ TEST(FuzzRunner, SameSeedYieldsByteIdenticalReports) {
   EXPECT_EQ(one.run().to_json().dump(2), two.run().to_json().dump(2));
 }
 
-// Pinned regression corpus: seeds 0..2 exercise drop/delay/duplicate/
+// Pinned regression corpus: seeds 0..4 exercise drop/delay/duplicate/
 // reorder across the txn (__prepare, __prepare_ack, __migration_ack,
 // __new_config) and custody (__request_component, __component_transfer,
 // __transfer_ack, __location_update) protocols, and every campaign
 // invariant must hold under them. A change that breaks one of these seeds
 // has changed protocol behavior under adversarial scheduling.
 TEST(FuzzRegression, PinnedSeedsHoldAllInvariants) {
-  const FuzzReport report = FuzzRunner(quick_config(0, 3)).run();
-  ASSERT_EQ(report.rounds.size(), 3u);
+  const FuzzReport report = FuzzRunner(quick_config(0, 5)).run();
+  ASSERT_EQ(report.rounds.size(), 5u);
   std::set<std::string> kinds;
   std::set<std::string> events;
   for (const FuzzRound& round : report.rounds) {
@@ -199,7 +199,10 @@ TEST(FuzzRegression, PinnedSeedsHoldAllInvariants) {
     for (const InvariantViolation& v : round.report.violations)
       ADD_FAILURE() << "seed " << round.seed << ": " << v.invariant << ": "
                     << v.detail;
+    EXPECT_GT(round.targeted, 0u) << "seed " << round.seed;
     EXPECT_GT(round.mutations.size(), 0u);
+    EXPECT_EQ(round.to_json().at("mutation_count").as_number(),
+              static_cast<double>(round.mutations.size()));
     for (const auto& [kind, n] : round.mutation_counts)
       if (n > 0) kinds.insert(kind);
     for (const MutationRecord& m : round.mutations) events.insert(m.event);

@@ -1,8 +1,10 @@
 // Self-healing layer: phi-accrual failure detection (deterministic
 // suspicion trajectories, heartbeat delay/reorder tolerance) and the heal
 // controller's recovery loop (flapping-host double-placement guard,
-// convergence of the recovery reference campaign) —
-// heal/failure_detector.h, heal/recovery.h, chaos/campaign.h.
+// convergence, MTTR and recovery-on vs -off availability of the recovery
+// reference campaign, repair under live traffic) —
+// heal/failure_detector.h, heal/recovery.h, chaos/campaign.h,
+// traffic/runner.h.
 #include "heal/recovery.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include "heal/failure_detector.h"
 #include "prism/event.h"
 #include "prism/distribution.h"
+#include "traffic/runner.h"
 
 namespace dif::heal {
 namespace {
@@ -222,12 +225,16 @@ TEST(HealController, FlappingHostNeverDoublePlaces) {
   ASSERT_GE(healer.recoveries().size(), 1u);
 }
 
+// Seeds 0 and 2 are the repair-committing corpus (seed 1's crash races an
+// in-flight redeployment off the host, leaving nothing to repair).
 TEST(HealController, RecoveryReferenceCampaignRepairsAndConverges) {
   chaos::CampaignConfig config = chaos::recovery_campaign_config();
   config.seeds = {0, 2};
   chaos::CampaignRunner runner(config);
   const chaos::CampaignReport report = runner.run();
   ASSERT_EQ(report.runs.size(), 2u);
+  double mttr_sum = 0.0;
+  double availability_on = 0.0;
   for (const chaos::RunReport& run : report.runs) {
     EXPECT_TRUE(run.recovery_enabled);
     EXPECT_GE(run.condemnations, 1u) << "seed " << run.seed;
@@ -237,7 +244,52 @@ TEST(HealController, RecoveryReferenceCampaignRepairsAndConverges) {
     EXPECT_TRUE(run.violations.empty())
         << "seed " << run.seed << ": " << run.violations.front().invariant
         << ": " << run.violations.front().detail;
+    mttr_sum += run.mean_mttr_ms;
+    availability_on += run.final_availability;
   }
+  // Repair commits before the dead host would have restarted on its own:
+  // the mean MTTR beats the scenario's minimum outage.
+  EXPECT_LT(mttr_sum / 2.0, config.scenario.min_fault_ms);
+  EXPECT_EQ(report.to_json().dump(2),
+            chaos::CampaignRunner(config).run().to_json().dump(2));
+
+  // The same seeds without the heal controller converge no higher.
+  chaos::CampaignConfig off_config = config;
+  off_config.recovery = false;
+  double availability_off = 0.0;
+  for (const chaos::RunReport& run :
+       chaos::CampaignRunner(off_config).run().runs)
+    availability_off += run.final_availability;
+  EXPECT_GE(availability_on, availability_off);
+}
+
+// The killhost outage during a live traffic session, under the same
+// capacity pressure as the reference campaign (seed 4: the repair commits
+// mid-session), against the recovery-off replay of the identical seed.
+// Repair rounds ride the ratekeeper's throttle, so repairing serves more
+// of the offered load and accrues no more SLO-violation time.
+TEST(HealController, RepairUnderLoadServesMoreAndViolatesNoLonger) {
+  traffic::RunOptions opts;
+  opts.generator.hosts = 6;
+  opts.generator.components = 18;
+  opts.generator.host_memory = {60.0, 80.0};
+  opts.generator.component_memory = {8.0, 12.0};
+  opts.seed = 4;
+  opts.duration_ms = 60'000.0;
+  opts.scenario = "killhost";
+  opts.engine.rps = 120.0;
+  opts.recovery = true;
+  const traffic::RunResult on = traffic::run_traffic(opts);
+  opts.recovery = false;
+  const traffic::RunResult off = traffic::run_traffic(opts);
+
+  EXPECT_GE(on.recoveries_committed, 1u);
+  ASSERT_GT(on.offered, 0u);
+  ASSERT_GT(off.offered, 0u);
+  EXPECT_GE(static_cast<double>(on.completed) / static_cast<double>(on.offered),
+            static_cast<double>(off.completed) /
+                static_cast<double>(off.offered));
+  EXPECT_LE(on.slo_violation_ms, off.slo_violation_ms);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Traffic engine + ratekeeper tests: report determinism (byte-identical
 // JSON across same-seed runs), the closed-loop concurrency invariant,
-// prepare-throttling actually slowing migration fan-outs, and tag-budget
-// shedding hitting only the over-budget tenant.
+// prepare-throttling actually slowing migration fan-outs, tag-budget
+// shedding hitting only the over-budget tenant, and the ratekeeper
+// earning its keep on a flash crowd under redeployment churn.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 
 #include "core/centralized_instantiation.h"
@@ -200,6 +202,58 @@ TEST(Ratekeeper, ShedsOnlyTheOverBudgetTenantUnderSaturation) {
   EXPECT_GT(ratekeeper.slo_violation_ms(), 0.0);
   EXPECT_GT(ratekeeper.max_level_reached(), 0);
   EXPECT_GE(cell->inter_batch_delay_ms, 0.0);
+}
+
+// The flash-crowd session of EXPERIMENTS.md (ET): 6x18, seed 7, 150 rps,
+// two forced moves every 8 s from t = 5 s, the noisy tenant t0 at double
+// weight against a 1.2x-fair-share budget. With the ratekeeper on, the
+// session accrues no more SLO-violation time than the same seed without
+// it; both reports conserve every request.
+TEST(Ratekeeper, FlashCrowdUnderChurnViolatesNoLongerThanWithout) {
+  RunOptions opts;
+  opts.generator.hosts = 6;
+  opts.generator.components = 18;
+  opts.seed = 7;
+  opts.duration_ms = 60'000.0;
+  opts.engine.rps = 150.0;
+  opts.engine.shape = IntensityShape::kFlash;
+  opts.engine.tenants = {{"t0", 2.0, 0.6}, {"t1", 1.0, 0.6}};
+  opts.redeploy_at_ms = 5'000.0;
+  opts.redeploy_every_ms = 8'000.0;
+  opts.redeploy_moves = 2;
+  const RunResult on = run_traffic(opts);
+  opts.ratekeeper.enabled = false;
+  const RunResult off = run_traffic(opts);
+  EXPECT_LE(on.slo_violation_ms, off.slo_violation_ms);
+
+  for (const RunResult* run : {&on, &off}) {
+    const util::json::Value& totals = run->report.at("totals");
+    EXPECT_GT(totals.at("offered").as_number(), 0.0);
+    EXPECT_EQ(totals.at("offered").as_number(),
+              totals.at("completed").as_number() +
+                  totals.at("failed").as_number() +
+                  totals.at("shed").as_number());
+    for (const auto& [tag, t] : run->report.at("tenants").as_object())
+      EXPECT_EQ(t.at("offered").as_number(),
+                t.at("completed").as_number() + t.at("failed").as_number() +
+                    t.at("shed").as_number())
+          << tag;
+    std::set<std::string> kinds;
+    double failed = 0.0;
+    for (const auto& [kind, n] : run->report.at("failures").as_object()) {
+      kinds.insert(kind);
+      failed += n.as_number();
+    }
+    EXPECT_EQ(kinds, (std::set<std::string>{"host_down", "migrating",
+                                            "no_path", "partitioned",
+                                            "timeout"}));
+    EXPECT_EQ(failed, totals.at("failed").as_number());
+    EXPECT_GT(run->rounds, 0u);
+    const util::json::Value& rk = run->report.at("ratekeeper");
+    EXPECT_EQ(rk.at("slo_violation_ms").as_number(), run->slo_violation_ms);
+    EXPECT_GE(rk.at("max_level_reached").as_number(), 0.0);
+    EXPECT_GE(rk.at("shed_actions").as_number(), 0.0);
+  }
 }
 
 }  // namespace
