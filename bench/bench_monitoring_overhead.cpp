@@ -45,7 +45,7 @@ struct Bed {
     auto& bus = arch.add_connector(std::make_unique<Connector>("bus"));
     for (int i = 0; i < 8; ++i) {
       auto& component = arch.add_component(
-          std::make_unique<Sink>("c" + std::to_string(i)));
+          std::make_unique<Sink>(std::string("c").append(std::to_string(i))));
       arch.weld(component, bus);
       components.push_back(&component);
     }

@@ -3,42 +3,25 @@
 # campaign/fuzz/traffic/heal runs and the difctl CLI contract included,
 # runs in the tier-1 suite. Whole-run speed is perfbench's (interleaved
 # A/B runs, see perfbench/README.md). On top of ctest this script runs:
-#   - the tier-1 build + ctest, and lint when clang-tidy is installed;
-#   - the full ctest suite again under ASan+UBSan with internal invariant
-#     asserts compiled in;
-#   - a ThreadSanitizer pass over the concurrency-sensitive binaries;
+#   - the tier-1 build (warnings are errors) + ctest;
 #   - one fleet-size `difctl generate | difctl check` row (too slow to
 #     parse for ctest);
-#   - the bench_check and bench_scalability regression gates.
+#   - the bench_check and bench_scalability regression gates, right after
+#     tier-1: their whole-run floors measure the machine as much as the
+#     code, and the sanitizer builds below leave it loaded;
+#   - lint when clang-tidy is installed;
+#   - the full ctest suite again under ASan+UBSan with internal invariant
+#     asserts compiled in;
+#   - a ThreadSanitizer pass over the concurrency-sensitive binaries.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
 echo "== tier-1: build + ctest =="
-cmake -B "$ROOT/build" -S "$ROOT"
+cmake -B "$ROOT/build" -S "$ROOT" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "$ROOT/build" -j "$JOBS"
 (cd "$ROOT/build" && ctest --output-on-failure -j "$JOBS")
-
-echo "== lint: clang-tidy =="
-if command -v clang-tidy >/dev/null 2>&1; then
-  cmake --build "$ROOT/build" --target lint
-else
-  echo "clang-tidy not installed; skipping lint"
-fi
-
-echo "== ASan+UBSan: full test suite =="
-cmake -B "$ROOT/build-asan" -S "$ROOT" \
-  -DDIF_SANITIZE=address,undefined -DDIF_ASSERTS=ON
-cmake --build "$ROOT/build-asan" -j "$JOBS"
-(cd "$ROOT/build-asan" && ctest --output-on-failure -j "$JOBS")
-
-echo "== ThreadSanitizer: portfolio + txn effector =="
-cmake -B "$ROOT/build-tsan" -S "$ROOT" -DDIF_SANITIZE=thread
-cmake --build "$ROOT/build-tsan" -j "$JOBS" \
-  --target test_portfolio test_txn_redeploy
-"$ROOT/build-tsan/tests/test_portfolio"
-"$ROOT/build-tsan/tests/test_txn_redeploy"
 
 echo "== static check: one fleet-size generate | check row =="
 DIFCTL="$ROOT/build/tools/difctl"
@@ -130,5 +113,25 @@ EOF
 else
   echo "python3 or BENCH_scalability.json missing; skipping scalability gate"
 fi
+
+echo "== lint: clang-tidy =="
+if command -v clang-tidy >/dev/null 2>&1; then
+  cmake --build "$ROOT/build" --target lint
+else
+  echo "clang-tidy not installed; skipping lint"
+fi
+
+echo "== ASan+UBSan: full test suite =="
+cmake -B "$ROOT/build-asan" -S "$ROOT" \
+  -DDIF_SANITIZE=address,undefined -DDIF_ASSERTS=ON
+cmake --build "$ROOT/build-asan" -j "$JOBS"
+(cd "$ROOT/build-asan" && ctest --output-on-failure -j "$JOBS")
+
+echo "== ThreadSanitizer: portfolio + txn effector =="
+cmake -B "$ROOT/build-tsan" -S "$ROOT" -DDIF_SANITIZE=thread
+cmake --build "$ROOT/build-tsan" -j "$JOBS" \
+  --target test_portfolio test_txn_redeploy
+"$ROOT/build-tsan/tests/test_portfolio"
+"$ROOT/build-tsan/tests/test_txn_redeploy"
 
 echo "CI OK"

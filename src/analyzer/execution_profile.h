@@ -17,13 +17,13 @@ namespace dif::analyzer {
 /// Outcome of one past redeployment, for the profile's log.
 struct RedeploymentRecord {
   double time_ms = 0.0;
-  std::string algorithm;
+  std::string algorithm = {};
   double value_before = 0.0;
   /// The algorithm's *predicted* objective value.
   double value_after = 0.0;
   std::size_t migrations = 0;
   bool applied = false;   // false when the analyzer vetoed the result
-  std::string reason;
+  std::string reason = {};
   /// The objective value actually *measured* after the redeployment took
   /// effect (the profile's "results of previous redeployments").
   double realized = 0.0;

@@ -36,39 +36,52 @@ void check_conservation(const sim::SimNetwork& net, RunReport& report) {
                              std::to_string(stats.dropped) + ")"});
 }
 
-void check_census(core::CentralizedInstantiation& inst,
-                  const model::DeploymentModel& m, RunReport& report) {
-  std::map<std::string, std::vector<std::size_t>> counts;
-  for (std::size_t h = 0; h < m.host_count(); ++h)
-    for (const std::string& name :
-         inst.architecture(static_cast<model::HostId>(h)).component_names()) {
-      if (name.rfind("__", 0) == 0) continue;
-      counts[name].push_back(h);
+/// Where the application's bricks are attached: the hosts of every model
+/// component (by id, in host order), and how often each brick the model
+/// does not know is hosted (by name, so reports list them in name order).
+struct Placement {
+  std::vector<std::vector<model::HostId>> hosts;
+  std::map<std::string, std::size_t> unknown;
+};
+
+Placement placement_of(core::CentralizedInstantiation& inst,
+                       const model::DeploymentModel& m) {
+  Placement placement;
+  placement.hosts.resize(m.component_count());
+  for (model::HostId h = 0; h < m.host_count(); ++h)
+    for (const auto& brick : inst.architecture(h).components()) {
+      if (prism::is_meta_name(brick->name())) continue;
+      if (const model::ComponentId c = inst.component_of(brick->name_id());
+          c != model::kNoComponent)
+        placement.hosts[c].push_back(h);
+      else
+        ++placement.unknown[brick->name()];
     }
+  return placement;
+}
+
+void check_census(const Placement& placement, const model::DeploymentModel& m,
+                  RunReport& report) {
   for (std::size_t c = 0; c < m.component_count(); ++c) {
-    const std::string& name =
-        m.component(static_cast<model::ComponentId>(c)).name;
-    const auto it = counts.find(name);
-    const std::size_t n = it == counts.end() ? 0 : it->second.size();
-    if (n != 1) {
-      std::string hosts;
-      if (it != counts.end())
-        for (const std::size_t h : it->second)
-          hosts += (hosts.empty() ? " on hosts " : ",") + std::to_string(h);
-      report.violations.push_back(
-          {"census", "component '" + name + "' hosted " + std::to_string(n) +
-                         " times (expected 1)" + hosts});
-    }
-    if (it != counts.end()) counts.erase(it);
+    const std::vector<model::HostId>& hosts = placement.hosts[c];
+    if (hosts.size() == 1) continue;
+    std::string where;
+    for (const model::HostId h : hosts)
+      where += (where.empty() ? " on hosts " : ",") + std::to_string(h);
+    report.violations.push_back(
+        {"census", "component '" +
+                       m.component(static_cast<model::ComponentId>(c)).name +
+                       "' hosted " + std::to_string(hosts.size()) +
+                       " times (expected 1)" + where});
   }
-  for (const auto& [name, hosts] : counts)
+  for (const auto& [name, count] : placement.unknown)
     report.violations.push_back(
         {"census", "unknown component '" + name + "' hosted " +
-                       std::to_string(hosts.size()) + " times"});
+                       std::to_string(count) + " times"});
 }
 
 void check_atomicity(core::CentralizedInstantiation& inst,
-                     const model::DeploymentModel& m, RunReport& report) {
+                     const Placement& placement, RunReport& report) {
   // The transactional effector's contract: after every closed round the
   // placement of the components it touched equals what the round *declared*
   // — the proposed deployment (committed), the checkpoint (aborted / rolled
@@ -87,19 +100,12 @@ void check_atomicity(core::CentralizedInstantiation& inst,
   // A crashed master takes its round state down with it; the census
   // invariant still guards exactly-once placement in that case.
   if (last.outcome == prism::TxnOutcome::kCrashed) return;
-  std::map<std::string, std::vector<model::HostId>> where;
-  for (std::size_t h = 0; h < m.host_count(); ++h)
-    for (const std::string& name :
-         inst.architecture(static_cast<model::HostId>(h)).component_names()) {
-      if (name.rfind("__", 0) == 0) continue;
-      where[name].push_back(static_cast<model::HostId>(h));
-    }
   for (const auto& [component, declared] : last.declared) {
-    const auto it = where.find(component);
-    // Lost or duplicated components are the census invariant's finding;
-    // atomicity judges the placement of exactly-once-hosted ones.
-    if (it == where.end() || it->second.size() != 1) continue;
-    const model::HostId actual = it->second.front();
+    const model::ComponentId c = inst.component_of(prism::find_name(component));
+    // Lost, duplicated and unknown components are the census invariant's
+    // finding; atomicity judges the placement of exactly-once-hosted ones.
+    if (c == model::kNoComponent || placement.hosts[c].size() != 1) continue;
+    const model::HostId actual = placement.hosts[c].front();
     if (actual == declared) continue;
     // An *unresolved* component is one the round explicitly declared
     // unknown: its migration (or its undo) may have run with every
@@ -224,8 +230,9 @@ void judge_centralized_invariants(core::CentralizedInstantiation& inst,
                                   double availability_tolerance,
                                   RunReport& report) {
   check_conservation(inst.network(), report);
-  check_census(inst, system.model(), report);
-  check_atomicity(inst, system.model(), report);
+  const Placement placement = placement_of(inst, system.model());
+  check_census(placement, system.model(), report);
+  check_atomicity(inst, placement, report);
   check_availability(pristine, inst.runtime_deployment(),
                      availability_tolerance, report);
   check_preflight(system, report);
@@ -444,7 +451,8 @@ RunReport CampaignRunner::run_decentralized(std::uint64_t seed) {
   collect_net(fleet.substrate().network(), report);
 
   check_conservation(fleet.substrate().network(), report);
-  check_census(fleet.substrate(), system->model(), report);
+  check_census(placement_of(fleet.substrate(), system->model()),
+               system->model(), report);
   check_availability(*pristine, fleet.runtime_deployment(),
                      config_.availability_tolerance, report);
   check_preflight(*system, report);
@@ -491,7 +499,7 @@ util::json::Value RunReport::to_json() const {
     entry["a"] = static_cast<std::uint64_t>(link.a);
     entry["b"] = static_cast<std::uint64_t>(link.b);
     entry["dropped"] = link.dropped;
-    lossy.push_back(std::move(entry));
+    lossy.emplace_back(std::move(entry));
   }
   net["dropped_links"] = std::move(lossy);
   doc["net"] = std::move(net);
@@ -522,7 +530,7 @@ util::json::Value RunReport::to_json() const {
     Object entry;
     entry["invariant"] = v.invariant;
     entry["detail"] = v.detail;
-    violation_list.push_back(std::move(entry));
+    violation_list.emplace_back(std::move(entry));
   }
   doc["violations"] = std::move(violation_list);
   return util::json::Value(std::move(doc));
@@ -536,7 +544,7 @@ util::json::Value CampaignReport::to_json() const {
   doc["scenario"] = config.scenario.name;
 
   Array seed_list;
-  for (const std::uint64_t seed : config.seeds) seed_list.push_back(seed);
+  for (const std::uint64_t seed : config.seeds) seed_list.emplace_back(seed);
   doc["seeds"] = std::move(seed_list);
 
   Array modes;

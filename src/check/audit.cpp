@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,19 +19,15 @@ using model::ComponentId;
 using model::DeploymentModel;
 using model::HostId;
 
-std::string fmt(double value) {
-  std::ostringstream os;
-  os << value;
-  return os.str();
-}
-
 /// First `cap` names, with a "+N more" tail when truncated.
 std::vector<std::string> capped_names(const std::vector<std::string>& names,
                                       std::size_t cap) {
   if (names.size() <= cap) return names;
   std::vector<std::string> out(names.begin(),
                                names.begin() + static_cast<std::ptrdiff_t>(cap));
-  out.push_back("+" + std::to_string(names.size() - cap) + " more");
+  out.push_back(std::string("+")
+                    .append(std::to_string(names.size() - cap))
+                    .append(" more"));
   return out;
 }
 

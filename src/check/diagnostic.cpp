@@ -36,6 +36,12 @@ std::string_view to_string(Severity severity) noexcept {
   return severity == Severity::kError ? "error" : "warning";
 }
 
+std::string fmt(double value) {
+  std::ostringstream os;
+  os << value;
+  return os.str();
+}
+
 void CheckReport::add(Diagnostic diagnostic) {
   if (diagnostic.severity == Severity::kError) {
     ++errors_;

@@ -104,6 +104,10 @@ enum class Severity { kWarning, kError };
 [[nodiscard]] std::string_view rule_id(Rule rule) noexcept;
 [[nodiscard]] std::string_view to_string(Severity severity) noexcept;
 
+/// A parameter value as diagnostic messages print it (stream default
+/// formatting: "0.5", "1e+06", "nan").
+[[nodiscard]] std::string fmt(double value);
+
 /// One defect, proven statically.
 struct Diagnostic {
   Rule rule;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "model/constraints.h"
@@ -18,12 +17,6 @@ using model::HostId;
 
 // Capacity comparisons tolerate accumulated floating-point noise.
 constexpr double kEpsilon = 1e-9;
-
-std::string fmt(double value) {
-  std::ostringstream os;
-  os << value;
-  return os.str();
-}
 
 std::string host_subject(const PlanContext& ctx, HostId h) {
   if (h < ctx.host_names.size()) return "host " + ctx.host_names[h];

@@ -7,7 +7,6 @@
 #include <limits>
 #include <numeric>
 #include <span>
-#include <sstream>
 #include <vector>
 
 #include "model/constraints.h"
@@ -21,12 +20,6 @@ using model::ComponentId;
 using model::ConstraintSet;
 using model::DeploymentModel;
 using model::HostId;
-
-std::string fmt(double value) {
-  std::ostringstream os;
-  os << value;
-  return os.str();
-}
 
 /// Union-find with path halving over component ids.
 class UnionFind {

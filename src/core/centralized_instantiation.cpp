@@ -15,6 +15,18 @@ CentralizedInstantiation::CentralizedInstantiation(desi::SystemData& system,
   if (!system.deployment().complete())
     throw std::invalid_argument("instantiation: incomplete deployment");
 
+  // --- one runtime identity per model component ----------------------------
+  for (std::size_t c = 0; c < m.component_count(); ++c) {
+    const auto comp = static_cast<model::ComponentId>(c);
+    const std::string& name = m.component(comp).name;
+    const prism::NameId id = prism::intern(name);
+    name_ids_.push_back(id);
+    if (prism::is_meta_name(name)) continue;
+    if (id >= components_by_name_.size())
+      components_by_name_.resize(id + 1, model::kNoComponent);
+    components_by_name_[id] = comp;
+  }
+
   network_ = std::make_unique<sim::SimNetwork>(
       sim::SimNetwork::from_model(sim_, m, config_.seed));
   scaffold_ = std::make_unique<prism::SimScaffold>(sim_);
@@ -77,14 +89,15 @@ CentralizedInstantiation::CentralizedInstantiation(desi::SystemData& system,
     prism::DistributionConnector& connector = *connectors_[h];
     for (std::size_t c = 0; c < m.component_count(); ++c) {
       const auto comp = static_cast<model::ComponentId>(c);
-      connector.set_location(m.component(comp).name,
-                             system.deployment().host_of(comp));
+      connector.set_location(name_ids_[c], system.deployment().host_of(comp));
     }
     for (std::size_t g = 0; g < k; ++g)
-      connector.set_location(prism::admin_name(static_cast<model::HostId>(g)),
-                             static_cast<model::HostId>(g));
+      connector.set_location(
+          prism::intern(prism::admin_name(static_cast<model::HostId>(g))),
+          static_cast<model::HostId>(g));
     if (config_.create_deployer)
-      connector.set_location(prism::deployer_name(), config_.master_host);
+      connector.set_location(prism::intern(prism::deployer_name()),
+                             config_.master_host);
   }
 
   // --- monitors, admins, deployer --------------------------------------------
@@ -159,13 +172,10 @@ CentralizedInstantiation::CentralizedInstantiation(desi::SystemData& system,
 CentralizedInstantiation::~CentralizedInstantiation() = default;
 
 void CentralizedInstantiation::start() {
-  for (const auto& arch : architectures_) {
-    for (const std::string& name : arch->component_names()) {
-      if (auto* workload =
-              dynamic_cast<WorkloadComponent*>(arch->find_component(name)))
+  for (const auto& arch : architectures_)
+    for (const auto& brick : arch->components())
+      if (auto* workload = dynamic_cast<WorkloadComponent*>(brick.get()))
         workload->start();
-    }
-  }
   if (config_.enable_monitoring) {
     for (const auto& rel : rel_monitors_) rel->start();
     if (config_.enable_admin_reporting)
@@ -204,32 +214,24 @@ void CentralizedInstantiation::restart_host(model::HostId host) {
 model::Deployment CentralizedInstantiation::runtime_deployment() const {
   const model::DeploymentModel& m = system_.model();
   model::Deployment d(m.component_count());
-  for (std::size_t h = 0; h < architectures_.size(); ++h) {
-    for (const std::string& name : architectures_[h]->component_names()) {
-      if (name.rfind("__", 0) == 0) continue;
-      try {
-        d.assign(m.component_by_name(name), static_cast<model::HostId>(h));
-      } catch (const std::out_of_range&) {
-        // A component unknown to the model (shouldn't happen in practice).
-      }
-    }
-  }
+  for (std::size_t h = 0; h < architectures_.size(); ++h)
+    for (const auto& brick : architectures_[h]->components())
+      if (const model::ComponentId c = component_of(brick->name_id());
+          c != model::kNoComponent)
+        d.assign(c, static_cast<model::HostId>(h));
   return d;
 }
 
 CentralizedInstantiation::WorkloadStats
 CentralizedInstantiation::workload_stats() const {
   WorkloadStats stats;
-  for (const auto& arch : architectures_) {
-    for (const std::string& name : arch->component_names()) {
+  for (const auto& arch : architectures_)
+    for (const auto& brick : arch->components())
       if (const auto* workload =
-              dynamic_cast<const WorkloadComponent*>(
-                  arch->find_component(name))) {
+              dynamic_cast<const WorkloadComponent*>(brick.get())) {
         stats.sent += workload->events_sent();
         stats.received += workload->events_received();
       }
-    }
-  }
   return stats;
 }
 

@@ -116,8 +116,21 @@ class CentralizedInstantiation {
   void crash_host(model::HostId host);
   void restart_host(model::HostId host);
 
-  /// The deployment as the running system currently has it (from the
-  /// deployer's location table; kNoHost for components it has not seen).
+  /// The runtime identity of model component `component`: the interned
+  /// name of the brick that implements it.
+  [[nodiscard]] prism::NameId name_id(model::ComponentId component) const {
+    return name_ids_.at(component);
+  }
+  /// The model component a brick named `name` implements; kNoComponent for
+  /// middleware bricks and for names the model does not know.
+  [[nodiscard]] model::ComponentId component_of(prism::NameId name) const {
+    return name < components_by_name_.size() ? components_by_name_[name]
+                                             : model::kNoComponent;
+  }
+
+  /// The deployment as the running system currently has it (the hosts
+  /// whose architectures hold each component's brick; kNoHost for
+  /// components no host holds).
   [[nodiscard]] model::Deployment runtime_deployment() const;
 
   /// Total application events sent / received across all workloads.
@@ -134,6 +147,10 @@ class CentralizedInstantiation {
  private:
   desi::SystemData& system_;
   FrameworkConfig config_;
+  /// Model component -> brick name, and brick name -> model component
+  /// (kNoComponent where none), fixed at construction.
+  std::vector<prism::NameId> name_ids_;
+  std::vector<model::ComponentId> components_by_name_;
   sim::Simulator sim_;
   std::unique_ptr<sim::SimNetwork> network_;
   std::unique_ptr<prism::SimScaffold> scaffold_;

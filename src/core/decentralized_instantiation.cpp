@@ -66,11 +66,13 @@ DecentralizedInstantiation::DecentralizedInstantiation(
                                         substrate_->connector(host));
     sync_components_.push_back(&attached);
   }
-  for (std::size_t h = 0; h < k; ++h)
-    for (std::size_t g = 0; g < k; ++g)
+  for (std::size_t g = 0; g < k; ++g) {
+    const auto host = static_cast<model::HostId>(g);
+    const prism::NameId sync = prism::intern(model_sync_name(host));
+    for (std::size_t h = 0; h < k; ++h)
       substrate_->connector(static_cast<model::HostId>(h))
-          .set_location(model_sync_name(static_cast<model::HostId>(g)),
-                        static_cast<model::HostId>(g));
+          .set_location(sync, host);
+  }
 }
 
 DecentralizedInstantiation::~DecentralizedInstantiation() = default;
@@ -87,17 +89,15 @@ void DecentralizedInstantiation::refresh_local_models() {
     if (prism::EvtFrequencyMonitor* freq = substrate_->freq_monitor(host)) {
       for (const prism::EvtFrequencyMonitor::PairFrequency& pf :
            freq->collect()) {
-        try {
-          const model::ComponentId a = lm.component_by_name(pf.from);
-          const model::ComponentId b = lm.component_by_name(pf.to);
-          model::LogicalLink link = lm.logical_link(a, b);
-          link.frequency = pf.frequency;
-          if (pf.avg_event_size_kb > 0.0)
-            link.avg_event_size = pf.avg_event_size_kb;
-          lm.set_logical_link(a, b, std::move(link));
-        } catch (const std::out_of_range&) {
-          // Meta components are not part of the model.
-        }
+        // Meta components are not part of the model.
+        const std::optional<model::ComponentId> a = lm.find_component(pf.from);
+        const std::optional<model::ComponentId> b = lm.find_component(pf.to);
+        if (!a || !b) continue;
+        model::LogicalLink link = lm.logical_link(*a, *b);
+        link.frequency = pf.frequency;
+        if (pf.avg_event_size_kb > 0.0)
+          link.avg_event_size = pf.avg_event_size_kb;
+        lm.set_logical_link(*a, *b, std::move(link));
       }
     }
     if (prism::NetworkReliabilityMonitor* rel =
@@ -139,8 +139,8 @@ std::size_t DecentralizedInstantiation::gossip_sync() {
     std::uint32_t freq_count = 0;
     for (const model::Interaction& ix : lm.interactions()) {
       const bool owns_endpoint =
-          arch.find_component(lm.component(ix.a).name) ||
-          arch.find_component(lm.component(ix.b).name);
+          arch.find_component(substrate_->name_id(ix.a)) ||
+          arch.find_component(substrate_->name_id(ix.b));
       if (!owns_endpoint) continue;
       freqs.str(lm.component(ix.a).name);
       freqs.str(lm.component(ix.b).name);
@@ -199,15 +199,13 @@ void DecentralizedInstantiation::apply_sync(model::HostId receiver,
       const std::string b = r.str();
       const double frequency = r.f64();
       const double size = r.f64();
-      try {
-        const model::ComponentId ca = lm.component_by_name(a);
-        const model::ComponentId cb = lm.component_by_name(b);
-        model::LogicalLink link = lm.logical_link(ca, cb);
-        link.frequency = frequency;
-        if (size > 0.0) link.avg_event_size = size;
-        lm.set_logical_link(ca, cb, std::move(link));
-      } catch (const std::out_of_range&) {
-      }
+      const std::optional<model::ComponentId> ca = lm.find_component(a);
+      const std::optional<model::ComponentId> cb = lm.find_component(b);
+      if (!ca || !cb) continue;
+      model::LogicalLink link = lm.logical_link(*ca, *cb);
+      link.frequency = frequency;
+      if (size > 0.0) link.avg_event_size = size;
+      lm.set_logical_link(*ca, *cb, std::move(link));
     }
   }
 }
@@ -222,11 +220,8 @@ bool DecentralizedInstantiation::fits(model::HostId host,
   prism::Architecture& arch =
       const_cast<CentralizedInstantiation&>(*substrate_).architecture(host);
   double used = 0.0;
-  for (const std::string& name : arch.component_names()) {
-    if (name.rfind("__", 0) == 0) continue;
-    if (const prism::Component* c = arch.find_component(name))
-      used += c->memory_kb();
-  }
+  for (const auto& brick : arch.components())
+    if (!prism::is_meta_name(brick->name())) used += brick->memory_kb();
   if (used + m.component(component).memory_size >
       m.host(host).memory_capacity)
     return false;
@@ -236,13 +231,13 @@ bool DecentralizedInstantiation::fits(model::HostId host,
     const model::ComponentId other =
         a == component ? b : (b == component ? a : component);
     if (other == component) continue;
-    if (arch.find_component(m.component(other).name)) return false;
+    if (arch.find_component(substrate_->name_id(other))) return false;
   }
   for (const auto& [a, b] : constraints.colocation_pairs()) {
     if (a != component && b != component) continue;
     const model::ComponentId partner = a == component ? b : a;
     // Moving one half of a must-pair is only legal onto the partner's host.
-    if (!arch.find_component(m.component(partner).name)) return false;
+    if (!arch.find_component(substrate_->name_id(partner))) return false;
   }
   return true;
 }
@@ -261,7 +256,7 @@ double DecentralizedInstantiation::bid(model::HostId bidder,
     if (ix.a != component && ix.b != component) continue;
     const model::ComponentId partner = ix.a == component ? ix.b : ix.a;
     const std::optional<model::HostId> partner_host =
-        connector.location(lm.component(partner).name);
+        connector.location(substrate_->name_id(partner));
     if (!partner_host) continue;  // unknown to this host: no information
     // Awareness: a host only reasons about hosts it is connected to.
     if (*partner_host != bidder && !lm.connected(bidder, *partner_host))
@@ -285,7 +280,7 @@ double DecentralizedInstantiation::voter_delta(model::HostId voter,
   for (const model::Interaction& ix : lm.interactions()) {
     if (ix.a != component && ix.b != component) continue;
     const model::ComponentId partner = ix.a == component ? ix.b : ix.a;
-    if (!arch.find_component(lm.component(partner).name)) continue;
+    if (!arch.find_component(substrate_->name_id(partner))) continue;
     const double before = model::interaction_term<TermKind::kAvailability>(
         lm, ix.frequency, ix.avg_event_size, from, voter);
     const double after = model::interaction_term<TermKind::kAvailability>(
@@ -334,14 +329,12 @@ std::size_t DecentralizedInstantiation::auction_sweep(std::uint64_t seed) {
 
     // Snapshot: the host's own application components (ground truth).
     std::vector<model::ComponentId> local_components;
-    for (const std::string& name :
-         substrate_->architecture(auctioneer).component_names()) {
-      if (name.rfind("__", 0) == 0) continue;
-      try {
-        local_components.push_back(m.component_by_name(name));
-      } catch (const std::out_of_range&) {
-      }
-    }
+    for (const auto& brick :
+         substrate_->architecture(auctioneer).components())
+      if (const model::ComponentId c =
+              substrate_->component_of(brick->name_id());
+          c != model::kNoComponent)
+        local_components.push_back(c);
     if (local_components.empty()) continue;
 
     bool conducted = false;

@@ -13,21 +13,6 @@ void MiddlewareAdapter::attach_monitor() {
       [this](const prism::HostReport& report) { apply_report(report); });
 }
 
-namespace {
-
-/// Resolves a component name, returning kNoHost-style nullopt for unknown
-/// (e.g. meta) components rather than throwing.
-std::optional<model::ComponentId> find_component(
-    const model::DeploymentModel& m, const std::string& name) {
-  try {
-    return m.component_by_name(name);
-  } catch (const std::out_of_range&) {
-    return std::nullopt;
-  }
-}
-
-}  // namespace
-
 void MiddlewareAdapter::apply_report(const prism::HostReport& report) {
   ++reports_;
   model::DeploymentModel& m = system_.model();
@@ -39,7 +24,7 @@ void MiddlewareAdapter::apply_report(const prism::HostReport& report) {
   // Observed component locations update the deployment ground truth.
   system_.sync_deployment_size();
   for (const prism::HostReport::ComponentInfo& info : report.components) {
-    if (const auto c = find_component(m, info.name)) {
+    if (const auto c = m.find_component(info.name)) {
       if (system_.deployment().host_of(*c) != report.host)
         system_.move_component(*c, report.host);
     }
@@ -47,8 +32,8 @@ void MiddlewareAdapter::apply_report(const prism::HostReport& report) {
 
   // Monitored interaction frequencies -> logical links.
   for (const prism::HostReport::InteractionInfo& info : report.interactions) {
-    const auto a = find_component(m, info.from);
-    const auto b = find_component(m, info.to);
+    const auto a = m.find_component(info.from);
+    const auto b = m.find_component(info.to);
     if (!a || !b || *a == *b) continue;
     model::LogicalLink link = m.logical_link(*a, *b);
     link.frequency = info.frequency;

@@ -345,7 +345,7 @@ util::json::Value HealController::to_json() const {
     event["components"] = static_cast<std::uint64_t>(r.components);
     event["committed"] = r.committed;
     event["rejoined"] = r.rejoined;
-    events.push_back(util::json::Value(std::move(event)));
+    events.emplace_back(std::move(event));
   }
   recovery["events"] = util::json::Value(std::move(events));
   return util::json::Value(std::move(recovery));

@@ -97,12 +97,17 @@ HostId DeploymentModel::host_by_name(std::string_view name) const {
 }
 
 ComponentId DeploymentModel::component_by_name(std::string_view name) const {
+  if (const std::optional<ComponentId> id = find_component(name)) return *id;
+  throw std::out_of_range("DeploymentModel: no component named '" +
+                          std::string(name) + "'");
+}
+
+std::optional<ComponentId> DeploymentModel::find_component(
+    std::string_view name) const {
   const auto it = std::find_if(
       components_.begin(), components_.end(),
       [&](const SoftwareComponent& c) { return c.name == name; });
-  if (it == components_.end())
-    throw std::out_of_range("DeploymentModel: no component named '" +
-                            std::string(name) + "'");
+  if (it == components_.end()) return std::nullopt;
   return static_cast<ComponentId>(it - components_.begin());
 }
 

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -28,7 +29,7 @@ struct Host {
   /// Relative CPU capacity (arbitrary units); 0 means "not modelled".
   double cpu_capacity = 0.0;
   /// Extensible parameters (battery power, installed software, ...).
-  PropertyMap properties;
+  PropertyMap properties = {};
 };
 
 /// A software component.
@@ -39,7 +40,7 @@ struct SoftwareComponent {
   /// CPU load the component induces (same units as Host::cpu_capacity).
   double cpu_load = 0.0;
   /// Extensible parameters (criticality, version, ...).
-  PropertyMap properties;
+  PropertyMap properties = {};
 };
 
 /// A physical network link between two hosts. Absent link == disconnected.
@@ -51,7 +52,7 @@ struct PhysicalLink {
   /// One-way transmission delay (ms).
   double delay_ms = 0.0;
   /// Extensible parameters (security level, monetary cost, ...).
-  PropertyMap properties;
+  PropertyMap properties = {};
 };
 
 /// A logical interaction between two components.
@@ -61,7 +62,7 @@ struct LogicalLink {
   /// Average event size (KB).
   double avg_event_size = 0.0;
   /// Extensible parameters (criticality, required security, ...).
-  PropertyMap properties;
+  PropertyMap properties = {};
 };
 
 /// A flattened, cached view of one interacting component pair; algorithms
@@ -163,6 +164,10 @@ class DeploymentModel {
   /// Finds a host/component by name; throws std::out_of_range when absent.
   [[nodiscard]] HostId host_by_name(std::string_view name) const;
   [[nodiscard]] ComponentId component_by_name(std::string_view name) const;
+  /// The component named `name`, or nullopt when the model has none (names
+  /// read from files and from the wire resolve through this).
+  [[nodiscard]] std::optional<ComponentId> find_component(
+      std::string_view name) const;
 
   // --- regions ------------------------------------------------------------
 

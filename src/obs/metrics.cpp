@@ -77,7 +77,7 @@ util::json::Value Registry::to_json() const {
                                ? util::json::Value(h.bounds()[i])
                                : util::json::Value(nullptr));
       bucket.emplace("count", h.bucket_counts()[i]);
-      buckets.push_back(std::move(bucket));
+      buckets.emplace_back(std::move(bucket));
     }
     util::json::Object entry;
     entry.emplace("count", h.count());

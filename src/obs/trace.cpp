@@ -77,7 +77,7 @@ util::json::Value TraceLog::to_json() const {
     entry.emplace("span", event.span);
     entry.emplace("name", event.name);
     entry.emplace("fields", std::move(fields));
-    events.push_back(std::move(entry));
+    events.emplace_back(std::move(entry));
   }
   util::json::Object doc;
   doc.emplace("schema", "dif-trace-v1");

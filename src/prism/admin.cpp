@@ -82,11 +82,10 @@ void AdminComponent::collect_and_report() {
     ByteWriter list;
     list.u32(0);  // count, patched below
     std::uint32_t count = 0;
-    for (const std::string& name : architecture()->component_names()) {
-      if (name.rfind("__", 0) == 0) continue;  // skip meta components
-      const Component* c = architecture()->find_component(name);
-      list.str(name);
-      list.f64(c ? c->memory_kb() : 0.0);
+    for (const auto& brick : architecture()->components()) {
+      if (is_meta_name(brick->name())) continue;  // skip meta components
+      list.str(brick->name());
+      list.f64(brick->memory_kb());
       ++count;
     }
     list.patch_u32(0, count);
@@ -187,7 +186,8 @@ void AdminComponent::restart(bool resume_reporting) {
   crash_recovery_.clear();
   for (Event& transfer : recovered) {
     const std::string* component = transfer.get_string("component");
-    if (!component || architecture()->find_component(*component)) continue;
+    if (!component || architecture()->find_component(intern(*component)))
+      continue;
     if (obs_.metrics)
       obs_.metrics->counter("admin.recovered_transfers").add(1);
     transfer.set_to(name());
@@ -198,9 +198,9 @@ void AdminComponent::restart(bool resume_reporting) {
   // views of this host after the outage (and it may hold stale views of
   // them); broadcasting the local inventory resynchronizes the location
   // tables the redeployment protocol routes by.
-  for (const std::string& component : architecture()->component_names()) {
-    if (component.rfind("__", 0) == 0) continue;
-    announce_ownership(component, restored_.count(component) > 0);
+  for (const auto& brick : architecture()->components()) {
+    if (is_meta_name(brick->name())) continue;
+    announce_ownership(brick->name(), restored_.count(brick->name()) > 0);
   }
   if (resume_reporting) start_reporting();
 }
@@ -256,7 +256,8 @@ void AdminComponent::handle_prepare(const Event& event) {
     const std::string component = r.str();
     const model::HostId target = r.u32();
     const double memory_kb = r.f64();
-    const Component* local = architecture()->find_component(component);
+    const Component* local =
+        architecture()->find_component(intern(component));
     if (target == host_) {
       if (!local) {
         inbound.push_back({component, memory_kb});
@@ -270,11 +271,8 @@ void AdminComponent::handle_prepare(const Event& event) {
   bool ok = true;
   if (params_.memory_capacity_kb > 0.0) {
     double usage_kb = 0.0;
-    for (const std::string& name : architecture()->component_names()) {
-      if (name.rfind("__", 0) == 0) continue;
-      const Component* c = architecture()->find_component(name);
-      usage_kb += c ? c->memory_kb() : 0.0;
-    }
+    for (const auto& brick : architecture()->components())
+      if (!is_meta_name(brick->name())) usage_kb += brick->memory_kb();
     ok = usage_kb - outbound_kb + inbound_kb <= params_.memory_capacity_kb;
     if (!ok)
       util::log_warn("prism.admin", "host ", host_, " vetoes epoch ",
@@ -322,7 +320,7 @@ void AdminComponent::handle_new_config(const Event& event) {
     ByteReader r(*locations);
     const std::uint32_t count = r.u32();
     for (std::uint32_t i = 0; i < count; ++i) {
-      const std::string component = r.str();
+      const NameId component = intern(r.str());
       const model::HostId host = r.u32();
       connector_.set_location(component, host);
     }
@@ -339,7 +337,8 @@ void AdminComponent::handle_new_config(const Event& event) {
     const std::string component = r.str();
     const model::HostId target = r.u32();
     if (target != host_) continue;                       // not my business
-    if (architecture()->find_component(component)) {
+    const NameId id = intern(component);
+    if (architecture()->find_component(id)) {
       // Positive confirmation: the deployer's targeted retries (and every
       // rollback compensation) ask the destination to ack a component it
       // already holds — the migration's work may have completed with every
@@ -354,8 +353,7 @@ void AdminComponent::handle_new_config(const Event& event) {
       }
       continue;  // already here
     }
-    const std::optional<model::HostId> current =
-        connector_.location(component);
+    const std::optional<model::HostId> current = connector_.location(id);
     if (!current || *current == host_) {
       // Routine during re-notification races (the component is already in
       // flight toward us, or a failed transfer bounced it home): the next
@@ -378,8 +376,8 @@ void AdminComponent::handle_request_component(const Event& event) {
   const std::string* component = event.get_string("component");
   const std::optional<double> requester = event.get_double("requester");
   if (!component || !requester) return;
-  std::unique_ptr<Component> detached =
-      architecture()->detach_component(*component);
+  const NameId id = intern(*component);
+  std::unique_ptr<Component> detached = architecture()->detach_component(id);
   if (!detached) return;  // already gone (e.g. duplicate request)
   const auto target = static_cast<model::HostId>(*requester);
 
@@ -403,7 +401,7 @@ void AdminComponent::handle_request_component(const Event& event) {
   restored_.erase(*component);
   // Point our own routing at the new host before the transfer leaves, so
   // events arriving meanwhile chase the component instead of piling up.
-  connector_.set_location(*component, target);
+  connector_.set_location(id, target);
   ++components_shipped_;
   // Keep the serialized component until arrival is confirmed by a location
   // update — transfers ride lossy links.
@@ -445,6 +443,7 @@ void AdminComponent::handle_component_transfer(const Event& event) {
   const std::string* type = event.get_string("type");
   const std::vector<std::uint8_t>* state = event.get_bytes("state");
   if (!component || !type) return;
+  const NameId id = intern(*component);
   const bool provisional = event.get_bool("restored").value_or(false);
   const std::optional<double> epoch = event.get_double("epoch");
   const auto ack_origin = [&] {
@@ -456,7 +455,7 @@ void AdminComponent::handle_component_transfer(const Event& event) {
       send(std::move(ack));
     }
   };
-  if (architecture()->find_component(*component)) {
+  if (architecture()->find_component(id)) {
     // Duplicate transfer (a retransmission raced the original): re-ack so
     // the sender stops retrying, and drop the duplicate. A genuine arrival
     // also upgrades a provisional copy to authoritative.
@@ -491,7 +490,7 @@ void AdminComponent::handle_component_transfer(const Event& event) {
   }
   Component& attached = architecture()->add_component(std::move(migrant));
   architecture()->weld(attached, connector_);
-  connector_.set_location(*component, host_);
+  connector_.set_location(id, host_);
   if (const std::optional<double> custody = event.get_double("custody"))
     custody_versions_[*component] = static_cast<std::uint64_t>(*custody);
   reservations_.erase(*component);  // the reserved capacity is now used
@@ -554,7 +553,7 @@ void AdminComponent::schedule_restored_reclaims(const std::string& component,
   architecture()->scaffold().schedule(
       delay_ms, [this, component, delay_ms] {
         if (!restored_.count(component)) return;        // resolved
-        if (!architecture()->find_component(component)) return;
+        if (!architecture()->find_component(intern(component))) return;
         announce_ownership(component, /*restored=*/true);
         // Exponential backoff, capped: cheap insurance forever.
         schedule_restored_reclaims(component,
@@ -568,7 +567,7 @@ void AdminComponent::schedule_contested_reasserts(const std::string& component,
   architecture()->scaffold().schedule(delay_ms, [this, component, delay_ms] {
     const auto it = contested_.find(component);
     if (it == contested_.end()) return;  // conflict re-armed elsewhere or gone
-    if (crashed_ || !architecture()->find_component(component) ||
+    if (crashed_ || !architecture()->find_component(intern(component)) ||
         --it->second <= 0) {
       contested_.erase(it);
       return;
@@ -583,9 +582,10 @@ void AdminComponent::handle_location_update(const Event& event) {
   const std::string* component = event.get_string("component");
   const std::optional<double> host = event.get_double("host");
   if (!component || !host) return;
+  const NameId id = intern(*component);
   const auto claimant = static_cast<model::HostId>(*host);
 
-  if (claimant != host_ && architecture()->find_component(*component)) {
+  if (claimant != host_ && architecture()->find_component(id)) {
     // Someone else claims a component we hold: resolve ownership.
     const bool claim_restored = event.get_bool("restored").value_or(false);
     const bool mine_restored = restored_.count(*component) > 0;
@@ -607,8 +607,8 @@ void AdminComponent::handle_location_update(const Event& event) {
                      my_custody, ") to host ", claimant);
       restored_.erase(*component);
       contested_.erase(*component);
-      (void)architecture()->detach_component(*component);  // destroyed
-      connector_.set_location(*component, claimant);
+      (void)architecture()->detach_component(id);  // destroyed
+      connector_.set_location(id, claimant);
       custody_versions_[*component] = claim_custody;
       flush_buffer(*component);
     } else if (mine_restored && (!claim_restored || host_ > claimant)) {
@@ -618,8 +618,8 @@ void AdminComponent::handle_location_update(const Event& event) {
       util::log_info("prism.admin", "yielding provisional copy of '",
                      *component, "' to host ", claimant);
       restored_.erase(*component);
-      (void)architecture()->detach_component(*component);  // destroyed
-      connector_.set_location(*component, claimant);
+      (void)architecture()->detach_component(id);  // destroyed
+      connector_.set_location(id, claimant);
       flush_buffer(*component);
     } else if (!mine_restored && !claim_restored &&
                (!custody_precedence_ || claim_custody == my_custody) &&
@@ -656,7 +656,7 @@ void AdminComponent::handle_location_update(const Event& event) {
     return;
   }
 
-  connector_.set_location(*component, claimant);
+  connector_.set_location(id, claimant);
   // Arrival confirmation for a transfer we shipped — but only when the
   // claim's custody version has reached the saga we sent. A stale claim
   // (even one naming our transfer's target, e.g. a backed-off ownership

@@ -57,15 +57,15 @@ void Architecture::unweld(Component& component, Connector& connector) {
   std::erase(connector.components_, &component);
 }
 
-std::unique_ptr<Component> Architecture::detach_component(
-    const std::string& name) {
+std::unique_ptr<Component> Architecture::detach_component(NameId name) {
+  const Component* attached = find_component(name);
+  if (!attached) return nullptr;
   const auto it =
       std::find_if(components_.begin(), components_.end(),
-                   [&](const auto& c) { return c->name() == name; });
-  if (it == components_.end()) return nullptr;
+                   [&](const auto& c) { return c.get() == attached; });
   std::unique_ptr<Component> component = std::move(*it);
   components_.erase(it);
-  by_id_[component->name_id()] = nullptr;
+  by_id_[name] = nullptr;
   check_index();
   component->on_detached();
   for (Connector* connector : component->connectors_)
@@ -73,20 +73,6 @@ std::unique_ptr<Component> Architecture::detach_component(
   component->connectors_.clear();
   component->arch_ = nullptr;
   return component;
-}
-
-void Architecture::remove_connector(const std::string& name) {
-  const auto it =
-      std::find_if(connectors_.begin(), connectors_.end(),
-                   [&](const auto& c) { return c->name() == name; });
-  if (it == connectors_.end()) return;
-  if (!(*it)->components_.empty())
-    throw std::logic_error("Architecture: removing connector with welds");
-  connectors_.erase(it);
-}
-
-Component* Architecture::find_component(const std::string& name) const {
-  return find_component(find_name(name));
 }
 
 void Architecture::check_index() const {

@@ -7,6 +7,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,21 +39,21 @@ class Architecture final : public Brick {
 
   /// Detaches the named component: unwelds it everywhere, invokes
   /// on_detached(), and transfers ownership to the caller (the first step
-  /// of a migration). Returns nullptr when the name is unknown.
-  std::unique_ptr<Component> detach_component(const std::string& name);
-
-  /// Destroys the named connector (must have no welded components).
-  void remove_connector(const std::string& name);
+  /// of a migration). Returns nullptr when no such component is attached.
+  std::unique_ptr<Component> detach_component(NameId name);
 
   // --- lookup ---------------------------------------------------------------
 
-  /// By id through the architecture's by-id index (the event path); the
-  /// string form serves cold callers.
+  /// By id through the architecture's by-id index.
   [[nodiscard]] Component* find_component(NameId name) const {
     return name < by_id_.size() ? by_id_[name] : nullptr;
   }
-  [[nodiscard]] Component* find_component(const std::string& name) const;
   [[nodiscard]] Connector* find_connector(const std::string& name) const;
+  /// The attached components, in attachment order.
+  [[nodiscard]] std::span<const std::unique_ptr<Component>> components()
+      const noexcept {
+    return components_;
+  }
   [[nodiscard]] std::vector<std::string> component_names() const;
   [[nodiscard]] std::size_t component_count() const noexcept {
     return components_.size();

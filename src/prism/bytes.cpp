@@ -32,10 +32,6 @@ void ByteWriter::bytes(std::span<const std::uint8_t> v) {
   buf_.insert(buf_.end(), v.begin(), v.end());
 }
 
-void ByteWriter::raw(std::span<const std::uint8_t> v) {
-  buf_.insert(buf_.end(), v.begin(), v.end());
-}
-
 void ByteWriter::patch_u32(std::size_t offset, std::uint32_t v) {
   DIF_ASSERT(offset + 4 <= buf_.size(), "patch_u32 past the end");
   for (int i = 0; i < 4; ++i) buf_[offset + i] = (v >> (8 * i)) & 0xff;

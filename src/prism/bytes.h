@@ -31,8 +31,6 @@ class ByteWriter {
   void f64(double v);
   void str(std::string_view v);
   void bytes(std::span<const std::uint8_t> v);
-  /// Appends raw bytes with no length prefix (concatenating sub-writers).
-  void raw(std::span<const std::uint8_t> v);
   /// Overwrites the u32 written at byte `offset` (a count reserved before
   /// the list it prefixes was known).
   void patch_u32(std::size_t offset, std::uint32_t v);

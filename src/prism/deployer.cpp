@@ -138,7 +138,7 @@ void DeployerComponent::handle_monitor_report(const Event& event) {
       info.memory_kb = r.f64();
       // Keep the deployer's routing table fresh from the ground truth, and
       // remember component footprints for the prepare phase's plan blob.
-      connector().set_location(info.name, report.host);
+      connector().set_location(intern(info.name), report.host);
       component_memory_kb_[info.name] = info.memory_kb;
       report.components.push_back(std::move(info));
     }
@@ -216,7 +216,7 @@ bool DeployerComponent::begin_round(
   std::map<std::string, model::HostId> checkpoint;
   for (const auto& [component, host] : target) {
     const std::optional<model::HostId> current =
-        connector().location(component);
+        connector().location(intern(component));
     if (current && *current != host) {
       MigrationTask task;
       task.component = component;
@@ -514,7 +514,7 @@ void DeployerComponent::broadcast_new_config() {
   for (const auto& [component, host] : current_target_) {
     if (recovery_payloads_.count(component) > 0) continue;
     if (const std::optional<model::HostId> current =
-            connector().location(component)) {
+            connector().location(intern(component))) {
       locations.str(component);
       locations.u32(*current);
       ++location_count;
@@ -571,7 +571,7 @@ void DeployerComponent::send_task_config(const MigrationTask& task) {
   config.u32(task.to);
   ByteWriter locations;
   if (const std::optional<model::HostId> current =
-          connector().location(task.component)) {
+          connector().location(intern(task.component))) {
     locations.u32(1);
     locations.str(task.component);
     locations.u32(*current);
@@ -689,7 +689,7 @@ void DeployerComponent::handle_migration_ack(const Event& event) {
     return;
   }
   const auto at = static_cast<model::HostId>(*host);
-  connector().set_location(*component, at);
+  connector().set_location(intern(*component), at);
   if (round_.acknowledge(*component, at)) check_round_completion();
 }
 
@@ -746,7 +746,8 @@ void DeployerComponent::end_phase_span(obs::TraceLog::SpanId& span, bool ok) {
 }
 
 void DeployerComponent::announce_location(const std::string& component) {
-  const std::optional<model::HostId> at = connector().location(component);
+  const std::optional<model::HostId> at =
+      connector().location(intern(component));
   if (!at || crashed()) return;
   Event update("__location_update");
   update.set("component", component);

@@ -47,22 +47,12 @@ void DistributionConnector::set_location(NameId component,
   locations_[component] = host;
 }
 
-void DistributionConnector::set_location(const std::string& component,
-                                         model::HostId host) {
-  set_location(intern(component), host);
-}
-
 std::optional<model::HostId> DistributionConnector::location(
     NameId component) const {
   if (component >= locations_.size() ||
       locations_[component] == model::kNoHost)
     return std::nullopt;
   return locations_[component];
-}
-
-std::optional<model::HostId> DistributionConnector::location(
-    const std::string& component) const {
-  return location(find_name(component));
 }
 
 void DistributionConnector::forward_remote(const Event& event,
@@ -155,7 +145,7 @@ void DistributionConnector::route(const Event& event, Component* sender) {
     // traffic keeps the paper's data-plane model — direct link or mediated
     // by the master — so multi-hop relays do not load links the deployment
     // model says the interaction never crosses.
-    const bool meta = event.to().rfind("__", 0) == 0;
+    const bool meta = is_meta_name(event.to());
     if (is_peer(*destination)) {
       forward_remote(event, *destination);
     } else if (mediator_ && *mediator_ != host_ && is_peer(*mediator_)) {

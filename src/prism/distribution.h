@@ -63,10 +63,7 @@ class DistributionConnector final : public Connector {
   /// Records that `component` currently lives on `host` (updated by
   /// location-update events during redeployment).
   void set_location(NameId component, model::HostId host);
-  void set_location(const std::string& component, model::HostId host);
   [[nodiscard]] std::optional<model::HostId> location(NameId component) const;
-  [[nodiscard]] std::optional<model::HostId> location(
-      const std::string& component) const;
 
   // --- routing ------------------------------------------------------------------
 

@@ -39,14 +39,14 @@ void EvtFrequencyMonitor::on_event_sent(const Brick& brick,
   // components *interact*, not how often the network cooperates (counting
   // on receipt would systematically under-report exactly the links the
   // redeployment algorithms most need to fix).
-  if (event.name().rfind("__", 0) == 0) return;  // middleware control event
-  if (event.to_id() == kEmptyName) return;       // broadcast: see below
+  if (is_meta_name(event.name())) return;  // middleware control event
+  if (event.to_id() == kEmptyName) return;  // broadcast: see below
   count(brick.name_id(), event.to_id(), event);
 }
 
 void EvtFrequencyMonitor::on_event_received(const Brick& brick,
                                             const Event& event) {
-  if (event.name().rfind("__", 0) == 0) return;  // middleware control event
+  if (is_meta_name(event.name())) return;  // middleware control event
   if (!event.to().empty()) return;  // directed: already counted at sender
   if (event.from().empty()) return;
   // Broadcast events have no single destination at send time; count each

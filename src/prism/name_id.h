@@ -37,4 +37,11 @@ NameId intern(std::string_view name);
 /// The name an id stands for (`id` must come from intern()).
 [[nodiscard]] const std::string& name_of(NameId id);
 
+/// True for the middleware's own names: admins, the deployer, model-sync
+/// endpoints and every control event carry the "__" prefix, application
+/// components and events never do.
+[[nodiscard]] constexpr bool is_meta_name(std::string_view name) noexcept {
+  return name.starts_with("__");
+}
+
 }  // namespace dif::prism

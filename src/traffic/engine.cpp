@@ -162,18 +162,14 @@ model::HostId TrafficEngine::resolve(model::ComponentId component) const {
 }
 
 void TrafficEngine::refresh_locations() {
-  const model::DeploymentModel& m = inst_.system().model();
   std::fill(location_.begin(), location_.end(), model::kNoHost);
-  for (model::HostId h = 0; h < m.host_count(); ++h) {
-    for (const std::string& name : inst_.architecture(h).component_names()) {
-      if (name.rfind("__", 0) == 0) continue;  // middleware bricks
-      try {
-        location_[m.component_by_name(name)] = h;
-      } catch (const std::out_of_range&) {
-        // A brick the model does not know (nothing to route to it).
-      }
-    }
-  }
+  for (model::HostId h = 0; h < inst_.system().model().host_count(); ++h)
+    for (const auto& brick : inst_.architecture(h).components())
+      // Middleware bricks and bricks the model does not know map to no
+      // component: nothing routes to them.
+      if (const model::ComponentId c = inst_.component_of(brick->name_id());
+          c != model::kNoComponent)
+        location_[c] = h;
 }
 
 double TrafficEngine::service_at(model::HostId host) const {

@@ -216,7 +216,7 @@ RunResult run_traffic(const RunOptions& options) {
     tc["name"] = util::json::Value(t.name);
     tc["weight"] = util::json::Value(t.weight);
     tc["tag_budget"] = util::json::Value(t.tag_budget);
-    tenants_cfg.push_back(util::json::Value(std::move(tc)));
+    tenants_cfg.emplace_back(std::move(tc));
   }
   config["tenants"] = util::json::Value(std::move(tenants_cfg));
 

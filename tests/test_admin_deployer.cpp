@@ -74,9 +74,10 @@ struct Testbed {
     for (std::size_t h = 0; h < k; ++h) {
       connectors[h]->set_mediator(0);
       for (std::size_t g = 0; g < k; ++g)
-        connectors[h]->set_location(admin_name(static_cast<model::HostId>(g)),
-                                    static_cast<model::HostId>(g));
-      connectors[h]->set_location(deployer_name(), 0);
+        connectors[h]->set_location(
+            intern(admin_name(static_cast<model::HostId>(g))),
+            static_cast<model::HostId>(g));
+      connectors[h]->set_location(intern(deployer_name()), 0);
       auto admin = std::make_unique<AdminComponent>(
           static_cast<model::HostId>(h), *connectors[h], factory, nullptr,
           nullptr, admin_params);
@@ -100,7 +101,7 @@ struct Testbed {
         archs[host]->add_component(std::make_unique<Counter>(name)));
     archs[host]->weld(counter, *connectors[host]);
     for (auto* connector : connectors)
-      connector->set_location(name, static_cast<model::HostId>(host));
+      connector->set_location(intern(name), static_cast<model::HostId>(host));
     return counter;
   }
 };
@@ -120,9 +121,9 @@ TEST(Migration, MovesComponentWithState) {
   bed.sim.run_until(5000.0);
   EXPECT_TRUE(done);
   EXPECT_EQ(moved, 1u);
-  EXPECT_EQ(bed.archs[0]->find_component("worker"), nullptr);
+  EXPECT_EQ(bed.archs[0]->find_component(intern("worker")), nullptr);
   auto* migrated =
-      dynamic_cast<Counter*>(bed.archs[1]->find_component("worker"));
+      dynamic_cast<Counter*>(bed.archs[1]->find_component(intern("worker")));
   ASSERT_NE(migrated, nullptr);
   EXPECT_EQ(migrated->count, 123u);  // state travelled with the component
   EXPECT_EQ(bed.admins[0]->components_shipped(), 1u);
@@ -167,9 +168,9 @@ TEST(Migration, MultipleComponentsAcrossHosts) {
       [&](bool success, std::size_t) { done = success; }));
   bed.sim.run_until(10'000.0);
   EXPECT_TRUE(done);
-  EXPECT_NE(bed.archs[1]->find_component("a"), nullptr);
-  EXPECT_NE(bed.archs[2]->find_component("b"), nullptr);
-  EXPECT_NE(bed.archs[0]->find_component("c"), nullptr);
+  EXPECT_NE(bed.archs[1]->find_component(intern("a")), nullptr);
+  EXPECT_NE(bed.archs[2]->find_component(intern("b")), nullptr);
+  EXPECT_NE(bed.archs[0]->find_component(intern("c")), nullptr);
   EXPECT_EQ(bed.deployer->redeployments_completed(), 1u);
 }
 
@@ -183,8 +184,8 @@ TEST(Migration, MediatedTransferBetweenUnconnectedHosts) {
       {{"edge", 2}}, [&](bool success, std::size_t) { done = success; }));
   bed.sim.run_until(30'000.0);
   EXPECT_TRUE(done);
-  EXPECT_NE(bed.archs[2]->find_component("edge"), nullptr);
-  EXPECT_EQ(bed.archs[1]->find_component("edge"), nullptr);
+  EXPECT_NE(bed.archs[2]->find_component(intern("edge")), nullptr);
+  EXPECT_EQ(bed.archs[1]->find_component(intern("edge")), nullptr);
 }
 
 TEST(Migration, RetransmissionSurvivesLossyLink) {
@@ -201,13 +202,13 @@ TEST(Migration, RetransmissionSurvivesLossyLink) {
   bed.sim.run_until(60'000.0);
   // Either the migration completed or timed out, but the component must
   // exist exactly once either way.
-  const bool on0 = bed.archs[0]->find_component("fragile") != nullptr;
-  const bool on1 = bed.archs[1]->find_component("fragile") != nullptr;
+  const bool on0 = bed.archs[0]->find_component(intern("fragile")) != nullptr;
+  const bool on1 = bed.archs[1]->find_component(intern("fragile")) != nullptr;
   EXPECT_NE(on0, on1) << "component lost or duplicated";
   if (done) {
     EXPECT_TRUE(on1);
     auto* migrated =
-        dynamic_cast<Counter*>(bed.archs[1]->find_component("fragile"));
+        dynamic_cast<Counter*>(bed.archs[1]->find_component(intern("fragile")));
     ASSERT_NE(migrated, nullptr);
     EXPECT_EQ(migrated->count, 7u);
   }
@@ -220,7 +221,7 @@ TEST(Migration, EventsBufferedDuringFlightAreDelivered) {
       std::make_unique<Counter>("source")));
   bed.archs[1]->weld(sender, *bed.connectors[1]);
   for (auto* connector : bed.connectors)
-    connector->set_location("source", 1);
+    connector->set_location(intern("source"), 1);
   (void)counter;
 
   // Start the migration, and while it is in flight keep sending ticks at
@@ -234,7 +235,8 @@ TEST(Migration, EventsBufferedDuringFlightAreDelivered) {
     });
   }
   bed.sim.run_until(30'000.0);
-  auto* migrated = dynamic_cast<Counter*>(bed.archs[1]->find_component("sink"));
+  auto* migrated = dynamic_cast<Counter*>(
+      bed.archs[1]->find_component(intern("sink")));
   ASSERT_NE(migrated, nullptr);
   // Every tick eventually reached the component (re-routed or buffered).
   EXPECT_EQ(migrated->count, 10u);
@@ -338,19 +340,20 @@ TEST(Migration, DuplicateFromLostAcksIsResolvedByReclaimProtocol) {
   // Source (still "up" CPU-wise, network-dead) exhausts its 3 retries and
   // restores a provisional copy around 2.7s + 3*0.5s.
   bed.sim.run_until(6'000.0);
-  EXPECT_NE(bed.archs[0]->find_component("dup"), nullptr)
+  EXPECT_NE(bed.archs[0]->find_component(intern("dup")), nullptr)
       << "source should have provisionally restored";
-  EXPECT_NE(bed.archs[1]->find_component("dup"), nullptr);
+  EXPECT_NE(bed.archs[1]->find_component(intern("dup")), nullptr);
 
   // Heal: reclaims (backed off, capped) eventually cross; the target
   // re-asserts; the provisional copy yields.
   bed.net.recover_host(0);
   bed.sim.run_until(120'000.0);
-  const bool on0 = bed.archs[0]->find_component("dup") != nullptr;
-  const bool on1 = bed.archs[1]->find_component("dup") != nullptr;
+  const bool on0 = bed.archs[0]->find_component(intern("dup")) != nullptr;
+  const bool on1 = bed.archs[1]->find_component(intern("dup")) != nullptr;
   EXPECT_FALSE(on0) << "provisional copy must yield";
   EXPECT_TRUE(on1);
-  auto* survivor = dynamic_cast<Counter*>(bed.archs[1]->find_component("dup"));
+  auto* survivor = dynamic_cast<Counter*>(
+      bed.archs[1]->find_component(intern("dup")));
   ASSERT_NE(survivor, nullptr);
   EXPECT_EQ(survivor->count, 42u);
 }
@@ -425,7 +428,7 @@ TEST(Migration, RenotifyResumesAfterPartitionHeals) {
   bed.net.restore(0, 1);
   bed.sim.run_until(30'000.0);
   EXPECT_TRUE(done);
-  EXPECT_NE(bed.archs[1]->find_component("worker"), nullptr);
+  EXPECT_NE(bed.archs[1]->find_component(intern("worker")), nullptr);
   ASSERT_NE(metrics.find_counter("deploy.renotify_total"), nullptr);
   EXPECT_GE(metrics.find_counter("deploy.renotify_total")->value(), 3u);
   ASSERT_NE(metrics.find_counter("deploy.redeployments_succeeded"), nullptr);
@@ -537,7 +540,7 @@ TEST(CrashRestart, TargetRestartMidRedeploymentDoesNotStrandComponent) {
   });
   bed.sim.run_until(5'000.0);
   EXPECT_TRUE(bed.admins[2]->crashed());
-  EXPECT_EQ(bed.archs[2]->find_component("mover"), nullptr);
+  EXPECT_EQ(bed.archs[2]->find_component(intern("mover")), nullptr);
 
   bed.net.recover_host(2);
   bed.admins[2]->restart(/*resume_reporting=*/false);
@@ -545,9 +548,10 @@ TEST(CrashRestart, TargetRestartMidRedeploymentDoesNotStrandComponent) {
 
   int copies = 0;
   for (int h = 0; h < 3; ++h)
-    if (bed.archs[h]->find_component("mover")) ++copies;
+    if (bed.archs[h]->find_component(intern("mover"))) ++copies;
   EXPECT_EQ(copies, 1) << "component stranded or duplicated";
-  auto* landed = dynamic_cast<Counter*>(bed.archs[2]->find_component("mover"));
+  auto* landed = dynamic_cast<Counter*>(
+      bed.archs[2]->find_component(intern("mover")));
   ASSERT_NE(landed, nullptr) << "migration never completed after restart";
   EXPECT_EQ(landed->count, 7u);
   EXPECT_TRUE(done);
@@ -571,13 +575,13 @@ TEST(CrashRestart, ForkedAuthoritativeCopiesResolveAcrossHops) {
   bed.admins[1]->restart(/*resume_reporting=*/false);
   bed.sim.run_until(60'000.0);
 
-  EXPECT_NE(bed.archs[1]->find_component("twin"), nullptr)
+  EXPECT_NE(bed.archs[1]->find_component(intern("twin")), nullptr)
       << "senior authoritative copy must survive";
-  EXPECT_EQ(bed.archs[2]->find_component("twin"), nullptr)
+  EXPECT_EQ(bed.archs[2]->find_component(intern("twin")), nullptr)
       << "junior copy must demote and yield";
   int copies = 0;
   for (int h = 0; h < 3; ++h)
-    if (bed.archs[h]->find_component("twin")) ++copies;
+    if (bed.archs[h]->find_component(intern("twin"))) ++copies;
   EXPECT_EQ(copies, 1);
 }
 

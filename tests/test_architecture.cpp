@@ -49,8 +49,8 @@ TEST(Architecture, RejectsDuplicatesAndNulls) {
 
 TEST(Architecture, FindAndNames) {
   Fixture f;
-  EXPECT_EQ(f.arch.find_component("b"), f.b);
-  EXPECT_EQ(f.arch.find_component("zzz"), nullptr);
+  EXPECT_EQ(f.arch.find_component(intern("b")), f.b);
+  EXPECT_EQ(f.arch.find_component(intern("zzz")), nullptr);
   EXPECT_EQ(f.arch.find_connector("bus"), f.bus);
   EXPECT_EQ(f.arch.component_names().size(), 3u);
   EXPECT_EQ(f.arch.component_count(), 3u);
@@ -62,12 +62,12 @@ TEST(Architecture, FindByIdTracksAttachAndDetach) {
   EXPECT_EQ(f.arch.find_component(b), f.b);
   EXPECT_EQ(f.arch.find_component(kEmptyName), nullptr);
   EXPECT_EQ(f.arch.find_component(kUnknownName), nullptr);
-  auto detached = f.arch.detach_component("b");
+  auto detached = f.arch.detach_component(intern("b"));
   EXPECT_EQ(f.arch.find_component(b), nullptr);
   EXPECT_EQ(f.arch.find_component(f.a->name_id()), f.a);
   Component& back = f.arch.add_component(std::move(detached));
   EXPECT_EQ(f.arch.find_component(b), &back);
-  EXPECT_EQ(f.arch.find_component("b"), &back);
+  EXPECT_EQ(f.arch.find_component(intern("b")), &back);
 }
 
 TEST(Routing, BroadcastReachesAllButSender) {
@@ -123,7 +123,7 @@ TEST(Routing, ComponentDetachedBeforeDispatchIsBuffered) {
   e.set_to("b");
   f.a->send(std::move(e));
   // Detach b while its delivery sits in the scaffold queue.
-  auto detached = f.arch.detach_component("b");
+  auto detached = f.arch.detach_component(intern("b"));
   ASSERT_NE(detached, nullptr);
   f.sim.run();
   ASSERT_EQ(undelivered.size(), 1u);
@@ -132,13 +132,13 @@ TEST(Routing, ComponentDetachedBeforeDispatchIsBuffered) {
 
 TEST(Architecture, DetachRemovesWeldsAndOwnership) {
   Fixture f;
-  auto detached = f.arch.detach_component("a");
+  auto detached = f.arch.detach_component(intern("a"));
   ASSERT_NE(detached, nullptr);
   EXPECT_EQ(detached->architecture(), nullptr);
-  EXPECT_EQ(f.arch.find_component("a"), nullptr);
+  EXPECT_EQ(f.arch.find_component(intern("a")), nullptr);
   EXPECT_EQ(f.arch.component_count(), 2u);
   EXPECT_EQ(f.bus->welded().size(), 2u);
-  EXPECT_EQ(f.arch.detach_component("a"), nullptr);  // already gone
+  EXPECT_EQ(f.arch.detach_component(intern("a")), nullptr);  // already gone
 
   // The detached component can join another architecture.
   Architecture other("other", f.scaffold, 1);
@@ -170,16 +170,6 @@ TEST(Architecture, WeldForeignBrickThrows) {
   Probe& foreign =
       static_cast<Probe&>(other.add_component(std::make_unique<Probe>("f")));
   EXPECT_THROW(f.arch.weld(foreign, *f.bus), std::invalid_argument);
-}
-
-TEST(Architecture, RemoveConnectorRequiresNoWelds) {
-  Fixture f;
-  EXPECT_THROW(f.arch.remove_connector("bus"), std::logic_error);
-  f.arch.unweld(*f.a, *f.bus);
-  f.arch.unweld(*f.b, *f.bus);
-  f.arch.unweld(*f.c, *f.bus);
-  f.arch.remove_connector("bus");
-  EXPECT_EQ(f.arch.find_connector("bus"), nullptr);
 }
 
 TEST(Architecture, TotalMemorySumsComponents) {

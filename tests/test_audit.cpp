@@ -24,6 +24,7 @@
 #include "prism/architecture.h"
 #include "prism/deployer.h"
 #include "util/json.h"
+#include "test_names.h"
 
 namespace dif::check {
 namespace {
@@ -39,10 +40,10 @@ DeploymentModel make_model(std::size_t hosts, std::size_t comps,
                           double host_mem = 100.0, double comp_mem = 10.0) {
   DeploymentModel m;
   for (std::size_t h = 0; h < hosts; ++h)
-    m.add_host({.name = "h" + std::to_string(h), .memory_capacity = host_mem});
+    m.add_host({.name = test::numbered("h", h), .memory_capacity = host_mem});
   for (std::size_t c = 0; c < comps; ++c)
     m.add_component(
-        {.name = "c" + std::to_string(c), .memory_size = comp_mem});
+        {.name = test::numbered("c", c), .memory_size = comp_mem});
   for (std::size_t a = 0; a < hosts; ++a)
     for (std::size_t b = a + 1; b < hosts; ++b)
       m.set_physical_link(static_cast<HostId>(a), static_cast<HostId>(b),
@@ -162,7 +163,7 @@ TEST(Resilience, LineTopologyMiddleHostIsAnArticulationPoint) {
   // severs them even though it hosts nothing.
   DeploymentModel m;
   for (int h = 0; h < 3; ++h)
-    m.add_host({.name = "h" + std::to_string(h), .memory_capacity = 100.0});
+    m.add_host({.name = test::numbered("h", h), .memory_capacity = 100.0});
   m.add_component({.name = "c0", .memory_size = 1.0});
   m.add_component({.name = "c1", .memory_size = 1.0});
   m.set_physical_link(0, 1, {.reliability = 0.9, .bandwidth = 10.0});
@@ -181,7 +182,7 @@ TEST(Resilience, LineTopologyMiddleHostIsAnArticulationPoint) {
 TEST(Resilience, TriangleTopologyHasNoEmptyHostSpof) {
   DeploymentModel m;
   for (int h = 0; h < 3; ++h)
-    m.add_host({.name = "h" + std::to_string(h), .memory_capacity = 100.0});
+    m.add_host({.name = test::numbered("h", h), .memory_capacity = 100.0});
   m.add_component({.name = "c0", .memory_size = 1.0});
   m.add_component({.name = "c1", .memory_size = 1.0});
   for (int a = 0; a < 3; ++a)
@@ -204,7 +205,7 @@ TEST(Resilience, TwoDisjointPathsNeedATwoHostCut) {
   // pair {h1, h2} is a minimum vertex cut.
   DeploymentModel m;
   for (int h = 0; h < 4; ++h)
-    m.add_host({.name = "h" + std::to_string(h), .memory_capacity = 100.0});
+    m.add_host({.name = test::numbered("h", h), .memory_capacity = 100.0});
   m.add_component({.name = "c0", .memory_size = 1.0});
   m.add_component({.name = "c1", .memory_size = 1.0});
   m.set_physical_link(0, 1, {.reliability = 0.9, .bandwidth = 10.0});
@@ -448,11 +449,11 @@ struct PreflightBed {
     AdminComponent::Params admin_params;
     for (std::size_t h = 0; h < k; ++h) {
       archs.push_back(std::make_unique<Architecture>(
-          "arch" + std::to_string(h), scaffold,
+          test::numbered("arch", h), scaffold,
           static_cast<model::HostId>(h)));
       connectors.push_back(&static_cast<DistributionConnector&>(
           archs[h]->add_connector(std::make_unique<DistributionConnector>(
-              "dist" + std::to_string(h), net,
+              test::numbered("dist", h), net,
               static_cast<model::HostId>(h)))));
     }
     for (std::size_t a = 0; a < k; ++a)
@@ -473,9 +474,10 @@ struct PreflightBed {
     for (std::size_t h = 0; h < k; ++h) {
       connectors[h]->set_mediator(0);
       for (std::size_t g = 0; g < k; ++g)
-        connectors[h]->set_location(admin_name(static_cast<model::HostId>(g)),
-                                    static_cast<model::HostId>(g));
-      connectors[h]->set_location(deployer_name(), 0);
+        connectors[h]->set_location(
+            prism::intern(admin_name(static_cast<model::HostId>(g))),
+            static_cast<model::HostId>(g));
+      connectors[h]->set_location(prism::intern(deployer_name()), 0);
       auto admin = std::make_unique<AdminComponent>(
           static_cast<model::HostId>(h), *connectors[h], factory, nullptr,
           nullptr, admin_params);
@@ -497,7 +499,8 @@ struct PreflightBed {
         archs[host]->add_component(std::make_unique<Pawn>(name)));
     archs[host]->weld(pawn, *connectors[host]);
     for (auto* connector : connectors)
-      connector->set_location(name, static_cast<model::HostId>(host));
+      connector->set_location(prism::intern(name),
+                              static_cast<model::HostId>(host));
   }
 
   /// Hand-crafts the __monitor_report a Slave Admin would send, seeding

@@ -19,6 +19,7 @@
 #include "model/constraints.h"
 #include "model/deployment_model.h"
 #include "model/objective.h"
+#include "test_names.h"
 
 namespace dif::check {
 namespace {
@@ -33,10 +34,10 @@ DeploymentModel make_model(std::size_t hosts, std::size_t comps,
                           double host_mem = 100.0, double comp_mem = 10.0) {
   DeploymentModel m;
   for (std::size_t h = 0; h < hosts; ++h)
-    m.add_host({.name = "h" + std::to_string(h), .memory_capacity = host_mem});
+    m.add_host({.name = test::numbered("h", h), .memory_capacity = host_mem});
   for (std::size_t c = 0; c < comps; ++c)
     m.add_component(
-        {.name = "c" + std::to_string(c), .memory_size = comp_mem});
+        {.name = test::numbered("c", c), .memory_size = comp_mem});
   for (std::size_t a = 0; a < hosts; ++a)
     for (std::size_t b = a + 1; b < hosts; ++b)
       m.set_physical_link(static_cast<HostId>(a), static_cast<HostId>(b),
@@ -211,10 +212,10 @@ TEST(CheckCapacityPigeonhole, SilentWhenOneLegalHostFits) {
 DeploymentModel make_partitioned(double comp_mem = 10.0) {
   DeploymentModel m;
   for (int h = 0; h < 4; ++h)
-    m.add_host({.name = "h" + std::to_string(h), .memory_capacity = 100.0});
+    m.add_host({.name = test::numbered("h", h), .memory_capacity = 100.0});
   for (int c = 0; c < 2; ++c)
     m.add_component(
-        {.name = "c" + std::to_string(c), .memory_size = comp_mem});
+        {.name = test::numbered("c", c), .memory_size = comp_mem});
   m.set_physical_link(0, 1, {.reliability = 0.9, .bandwidth = 50.0});
   m.set_physical_link(2, 3, {.reliability = 0.9, .bandwidth = 50.0});
   m.set_logical_link(0, 1, {.frequency = 2.0, .avg_event_size = 1.0});
@@ -518,7 +519,7 @@ TEST(CheckGolden, DiagnosticsAreByteIdentical) {
     ASSERT_EQ(context.allowed_count(22), kGoldenHosts);
     ASSERT_LT(context.allowed_count(17), kGoldenHosts);
 
-    const std::string prefix = "seed" + std::to_string(seed) + "_";
+    const std::string prefix = test::numbered("seed", seed) + "_";
     for (const auto& [name, report] :
          {std::pair{std::string("run_checks"), run_checks(m, cs)},
           std::pair{std::string("preflight"), preflight_report(m, cs)}}) {

@@ -6,6 +6,7 @@
 #include "check/static_analyzer.h"
 #include "model/deployment_model.h"
 #include "util/rng.h"
+#include "test_names.h"
 
 namespace dif::model {
 namespace {
@@ -14,10 +15,10 @@ DeploymentModel make_model(std::size_t hosts, std::size_t comps,
                            double host_mem = 100.0, double comp_mem = 10.0) {
   DeploymentModel m;
   for (std::size_t h = 0; h < hosts; ++h)
-    m.add_host({.name = "h" + std::to_string(h), .memory_capacity = host_mem});
+    m.add_host({.name = test::numbered("h", h), .memory_capacity = host_mem});
   for (std::size_t c = 0; c < comps; ++c)
     m.add_component(
-        {.name = "c" + std::to_string(c), .memory_size = comp_mem});
+        {.name = test::numbered("c", c), .memory_size = comp_mem});
   return m;
 }
 

@@ -3,10 +3,12 @@
 // decentralized auction runtime (core/*).
 #include <gtest/gtest.h>
 
+#include "chaos/campaign.h"
 #include "core/decentralized_instantiation.h"
 #include "desi/modifier.h"
 #include "core/improvement_loop.h"
 #include "desi/generator.h"
+#include "traffic/engine.h"
 
 namespace dif::core {
 namespace {
@@ -941,6 +943,89 @@ TEST(Centralized, ConstructorValidatesConfiguration) {
     EXPECT_THROW(CentralizedInstantiation inst(*incomplete, config),
                  std::invalid_argument);
   }
+}
+
+/// An application brick the model does not name: not a middleware
+/// (`__`-prefixed) brick, and not one of the model's components.
+class StrayComponent final : public prism::Component {
+ public:
+  StrayComponent() : prism::Component("stray") {}
+  void handle(const prism::Event&) override {}
+  [[nodiscard]] std::string type_name() const override { return "stray"; }
+};
+
+constexpr model::HostId kStrayHost = 2;
+
+void attach_stray(CentralizedInstantiation& inst) {
+  prism::Architecture& arch = inst.architecture(kStrayHost);
+  prism::Component& stray =
+      arch.add_component(std::make_unique<StrayComponent>());
+  arch.weld(stray, inst.connector(kStrayHost));
+}
+
+TEST(Centralized, UnknownBrickIsInvisibleToEveryModelView) {
+  const desi::GeneratorSpec spec = chaos::CampaignConfig().generator;
+  ASSERT_EQ(spec.hosts, 5u);
+  ASSERT_EQ(spec.components, 14u);
+  const auto system = desi::Generator::generate(spec, 3);
+  const auto pristine = desi::Generator::generate(spec, 3);
+  FrameworkConfig config;
+  config.seed = 3;
+  CentralizedInstantiation inst(*system, config);
+  attach_stray(inst);
+  inst.start();
+  inst.simulator().run_until(10'000.0);
+
+  // The runtime placement is the model's, the stray brick aside.
+  EXPECT_EQ(inst.runtime_deployment(), pristine->deployment());
+
+  // The admin's inventory reports the brick (the deployer's location table
+  // learns it), and the middleware adapter leaves the model alone.
+  EXPECT_GT(inst.adapter().reports_received(), 0u);
+  EXPECT_EQ(
+      inst.connector(config.master_host).location(prism::intern("stray")),
+      kStrayHost);
+  EXPECT_EQ(system->model().component_count(), spec.components);
+  EXPECT_EQ(system->deployment(), pristine->deployment());
+
+  // The census names it, once, as unknown.
+  chaos::RunReport report;
+  chaos::judge_centralized_invariants(inst, *system, *pristine, 0.0, report);
+  ASSERT_EQ(report.violations.size(), 1u);
+  EXPECT_EQ(report.violations[0].invariant, "census");
+  EXPECT_EQ(report.violations[0].detail,
+            "unknown component 'stray' hosted 1 times");
+}
+
+TEST(Centralized, UnknownBrickDrawsNoTraffic) {
+  const desi::GeneratorSpec spec = chaos::CampaignConfig().generator;
+  const auto serve = [&](bool with_stray) {
+    const auto system = desi::Generator::generate(spec, 4);
+    FrameworkConfig config;
+    config.seed = 4;
+    config.enable_admin_reporting = false;  // inventory sizes stay equal
+    CentralizedInstantiation inst(*system, config);
+    if (with_stray) attach_stray(inst);
+    traffic::EngineConfig engine_config;
+    engine_config.seed = 4;
+    traffic::TrafficEngine engine(inst, engine_config, obs::Instruments{});
+    inst.start();
+    engine.start();
+    inst.simulator().run_until(5'000.0);
+    EXPECT_GT(engine.ticks(), 0u);
+    return std::make_pair(engine.tenants(), engine.failures());
+  };
+  const auto [with_tenants, with_failures] = serve(true);
+  const auto [bare_tenants, bare_failures] = serve(false);
+  ASSERT_EQ(with_tenants.size(), 1u);
+  ASSERT_EQ(bare_tenants.size(), 1u);
+  EXPECT_GT(with_tenants[0].completed, 0u);
+  EXPECT_EQ(with_tenants[0].offered, bare_tenants[0].offered);
+  EXPECT_EQ(with_tenants[0].completed, bare_tenants[0].completed);
+  EXPECT_EQ(with_tenants[0].failed, bare_tenants[0].failed);
+  EXPECT_EQ(with_tenants[0].latencies_ms, bare_tenants[0].latencies_ms);
+  EXPECT_EQ(with_failures.migrating, bare_failures.migrating);
+  EXPECT_EQ(with_failures.no_path, bare_failures.no_path);
 }
 
 TEST(Centralized, MonitoringDisabledStillRunsWorkloads) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "util/rng.h"
+#include "test_names.h"
 
 namespace dif::model {
 namespace {
@@ -91,7 +92,7 @@ TEST(DeploymentModel, InteractionsCacheListsPositiveFrequencies) {
   DeploymentModel m;
   m.add_host({.name = "h"});
   for (int i = 0; i < 4; ++i)
-    m.add_component({.name = "c" + std::to_string(i)});
+    m.add_component({.name = test::numbered("c", i)});
   m.set_logical_link(0, 1, {.frequency = 2.0, .avg_event_size = 1.0});
   m.set_logical_link(2, 3, {.frequency = 3.0, .avg_event_size = 1.0});
   m.set_logical_link(0, 3, {.frequency = 0.0, .avg_event_size = 1.0});
@@ -261,7 +262,7 @@ void random_write(DeploymentModel& m, util::Xoshiro256ss& rng) {
       m.clear_physical_link(a, b);
       break;
     case 6:
-      m.add_host(named_host("x" + std::to_string(k)));
+      m.add_host(named_host(test::numbered("x", k)));
       break;
     default:
       m.reserve_hosts(k + rng.index(6));
@@ -273,7 +274,7 @@ TEST(HostAdjacency, MatchesMatrixScanUnderRandomWrites) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     util::Xoshiro256ss rng(seed);
     DeploymentModel m;
-    for (int h = 0; h < 5; ++h) m.add_host(named_host("h" + std::to_string(h)));
+    for (int h = 0; h < 5; ++h) m.add_host(named_host(test::numbered("h", h)));
     for (int step = 0; step < 400; ++step) {
       random_write(m, rng);
       // Query only some of the time, so writes also pile up on a stale
@@ -287,7 +288,7 @@ TEST(HostAdjacency, MatchesMatrixScanUnderRandomWrites) {
 TEST(HostAdjacency, CopiesKeepIndependentIndexes) {
   util::Xoshiro256ss rng(9);
   DeploymentModel m;
-  for (int h = 0; h < 8; ++h) m.add_host(named_host("h" + std::to_string(h)));
+  for (int h = 0; h < 8; ++h) m.add_host(named_host(test::numbered("h", h)));
   for (int step = 0; step < 60; ++step) random_write(m, rng);
   expect_index_matches_scan(m, 0);
   DeploymentModel copy = m;
@@ -302,7 +303,7 @@ TEST(HostAdjacency, CopiesKeepIndependentIndexes) {
 
 TEST(HostAdjacency, NeighborsAreSortedAndSymmetric) {
   DeploymentModel m;
-  for (int h = 0; h < 4; ++h) m.add_host(named_host("h" + std::to_string(h)));
+  for (int h = 0; h < 4; ++h) m.add_host(named_host(test::numbered("h", h)));
   m.set_physical_link(3, 1, make_link(0.9, 10.0));
   m.set_physical_link(1, 0, make_link(0.5, 5.0));
   m.set_physical_link(2, 1, make_link(0.0, 0.0, 4.0));  // delay alone
@@ -327,7 +328,7 @@ TEST(HostAdjacency, ReservedMatrixDoesNotRegrow) {
   const PhysicalLink* data = m.physical_link_table().data;
   EXPECT_EQ(m.physical_link_table().dim, 40u);
   for (int h = 1; h < 40; ++h) {
-    m.add_host(named_host("h" + std::to_string(h)));
+    m.add_host(named_host(test::numbered("h", h)));
     m.set_physical_link(static_cast<HostId>(h - 1), static_cast<HostId>(h),
                         make_link(0.5, 1.0));
   }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "prism/architecture.h"
+#include "test_names.h"
 
 namespace dif::prism {
 namespace {
@@ -33,12 +34,12 @@ struct Star {
     net.set_link(1, 2, {.reliability = 1.0, .bandwidth = 1e6, .delay_ms = 1});
     for (model::HostId h = 0; h < 3; ++h) {
       archs.push_back(std::make_unique<Architecture>(
-          "arch" + std::to_string(h), scaffold, h));
+          test::numbered("arch", h), scaffold, h));
       d.push_back(&static_cast<DistributionConnector&>(
           archs[h]->add_connector(std::make_unique<DistributionConnector>(
-              "d" + std::to_string(h), net, h))));
+              test::numbered("d", h), net, h))));
       probes.push_back(&static_cast<Probe&>(archs[h]->add_component(
-          std::make_unique<Probe>("p" + std::to_string(h)))));
+          std::make_unique<Probe>(test::numbered("p", h)))));
       archs[h]->weld(*probes[h], *d[h]);
     }
     d[0]->add_peer(1);
@@ -47,7 +48,7 @@ struct Star {
     d[2]->add_peer(1);
     for (auto* connector : d)
       for (model::HostId h = 0; h < 3; ++h)
-        connector->set_location("p" + std::to_string(h), h);
+        connector->set_location(intern(test::numbered("p", h)), h);
   }
 };
 
@@ -114,7 +115,7 @@ TEST(Distribution, RemoteEventsAreNotReforwarded) {
   // An event arriving at host 1 addressed to a component host 1 believes is
   // on host 0 must not bounce: route() skips forwarding for remote-marked
   // events, and only an explicit resend() re-enables it.
-  star.d[1]->set_location("p0", 0);
+  star.d[1]->set_location(intern("p0"), 0);
   Event e("msg");
   e.set_to("p0");
   star.probes[2]->send(std::move(e));  // 2 -> (location) 0, not a peer; no mediator on d2
@@ -149,10 +150,10 @@ TEST(Distribution, PeerManagement) {
 
 TEST(Distribution, LocationTableUpdates) {
   Star star;
-  EXPECT_EQ(star.d[0]->location("p2"), 2u);
-  star.d[0]->set_location("p2", 1);
-  EXPECT_EQ(star.d[0]->location("p2"), 1u);
-  EXPECT_FALSE(star.d[0]->location("ghost").has_value());
+  EXPECT_EQ(star.d[0]->location(intern("p2")), 2u);
+  star.d[0]->set_location(intern("p2"), 1);
+  EXPECT_EQ(star.d[0]->location(intern("p2")), 1u);
+  EXPECT_FALSE(star.d[0]->location(intern("ghost")).has_value());
 }
 
 }  // namespace

@@ -54,16 +54,6 @@ TEST(ByteReader, BogusLengthPrefixThrows) {
   EXPECT_THROW(r.str(), DecodeError);
 }
 
-TEST(ByteWriter, RawAppendsWithoutPrefix) {
-  ByteWriter inner;
-  inner.u8(1);
-  inner.u8(2);
-  ByteWriter outer;
-  const auto tail = inner.take();
-  outer.raw(tail);
-  EXPECT_EQ(outer.size(), 2u);
-}
-
 TEST(ByteWriter, PatchU32OverwritesAReservedCount) {
   ByteWriter w;
   w.u32(0);

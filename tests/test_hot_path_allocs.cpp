@@ -27,6 +27,7 @@
 #include "prism/distribution.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "test_names.h"
 
 namespace {
 
@@ -101,10 +102,10 @@ struct TwoHosts {
     std::vector<DistributionConnector*> d;
     for (model::HostId h = 0; h < 2; ++h) {
       archs.push_back(std::make_unique<Architecture>(
-          "arch" + std::to_string(h), scaffold, h));
+          test::numbered("arch", h), scaffold, h));
       d.push_back(&static_cast<DistributionConnector&>(
           archs[h]->add_connector(std::make_unique<DistributionConnector>(
-              "d" + std::to_string(h), net, h))));
+              test::numbered("d", h), net, h))));
     }
     src = &static_cast<Sink&>(
         archs[0]->add_component(std::make_unique<Sink>("src")));
@@ -114,7 +115,7 @@ struct TwoHosts {
     archs[1]->weld(*dst, *d[1]);
     d[0]->add_peer(1);
     d[1]->add_peer(0);
-    d[0]->set_location("dst", 1);
+    d[0]->set_location(intern("dst"), 1);
   }
 
   /// Sends `count` pre-built ~1 KB app events one at a time, running the

@@ -16,6 +16,7 @@
 #include "desi/generator.h"
 #include "model/incremental.h"
 #include "util/rng.h"
+#include "test_names.h"
 
 namespace dif::model {
 namespace {
@@ -293,9 +294,9 @@ TEST(IncrementalEvaluator, DegreeZeroComponentsMatchFullEvaluate) {
   // and still agree with the from-scratch evaluation at every step.
   DeploymentModel m;
   for (int h = 0; h < 4; ++h)
-    m.add_host({.name = "h" + std::to_string(h), .memory_capacity = 100.0});
+    m.add_host({.name = test::numbered("h", h), .memory_capacity = 100.0});
   for (int c = 0; c < 10; ++c)
-    m.add_component({.name = "c" + std::to_string(c), .memory_size = 1.0});
+    m.add_component({.name = test::numbered("c", c), .memory_size = 1.0});
   for (HostId a = 0; a < 4; ++a)
     for (HostId b = a + 1; b < 4; ++b)
       m.set_physical_link(a, b,

@@ -5,6 +5,8 @@
 
 #include <cmath>
 
+#include "test_names.h"
+
 namespace dif::model {
 namespace {
 
@@ -42,7 +44,7 @@ TEST(Availability, FrequencyWeightedMix) {
   m.add_host({.name = "h0"});
   m.add_host({.name = "h1"});
   for (int i = 0; i < 3; ++i)
-    m.add_component({.name = "c" + std::to_string(i)});
+    m.add_component({.name = test::numbered("c", i)});
   m.set_physical_link(0, 1, {.reliability = 0.5, .bandwidth = 10.0});
   m.set_logical_link(0, 1, {.frequency = 3.0, .avg_event_size = 1.0});
   m.set_logical_link(1, 2, {.frequency = 1.0, .avg_event_size = 1.0});

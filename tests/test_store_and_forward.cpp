@@ -42,8 +42,8 @@ struct Bed {
         arch1.add_component(std::make_unique<Probe>("sink")));
     arch0.weld(*sender, *d0);
     arch1.weld(*sink, *d1);
-    d0->set_location("sink", 1);
-    d1->set_location("sender", 0);
+    d0->set_location(intern("sink"), 1);
+    d1->set_location(intern("sender"), 0);
   }
 
   void send_directed(const std::string& name) {

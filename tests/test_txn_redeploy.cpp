@@ -79,9 +79,10 @@ struct TxnBed {
     for (std::size_t h = 0; h < k; ++h) {
       connectors[h]->set_mediator(0);
       for (std::size_t g = 0; g < k; ++g)
-        connectors[h]->set_location(admin_name(static_cast<model::HostId>(g)),
-                                    static_cast<model::HostId>(g));
-      connectors[h]->set_location(deployer_name(), 0);
+        connectors[h]->set_location(
+            intern(admin_name(static_cast<model::HostId>(g))),
+            static_cast<model::HostId>(g));
+      connectors[h]->set_location(intern(deployer_name()), 0);
       auto admin = std::make_unique<AdminComponent>(
           static_cast<model::HostId>(h), *connectors[h], factory, nullptr,
           nullptr, admin_params);
@@ -103,7 +104,7 @@ struct TxnBed {
         archs[host]->add_component(std::make_unique<Counter>(name)));
     archs[host]->weld(counter, *connectors[host]);
     for (auto* connector : connectors)
-      connector->set_location(name, static_cast<model::HostId>(host));
+      connector->set_location(intern(name), static_cast<model::HostId>(host));
     return counter;
   }
 
@@ -138,8 +139,8 @@ TEST(TxnRedeploy, CapacityVetoAbortsRoundAndNothingMoves) {
   EXPECT_FALSE(success);
   EXPECT_EQ(bed.deployer->last_outcome(), TxnOutcome::kAborted);
   EXPECT_EQ(bed.deployer->rounds_rolled_back(), 1u);
-  EXPECT_NE(bed.archs[0]->find_component("mover"), nullptr);
-  EXPECT_EQ(bed.archs[1]->find_component("mover"), nullptr);
+  EXPECT_NE(bed.archs[0]->find_component(intern("mover")), nullptr);
+  EXPECT_EQ(bed.archs[1]->find_component(intern("mover")), nullptr);
   ASSERT_EQ(bed.deployer->round_history().size(), 1u);
   const RoundRecord& record = bed.deployer->round_history().back();
   EXPECT_EQ(record.outcome, TxnOutcome::kAborted);
@@ -168,14 +169,15 @@ TEST(TxnRedeploy, VetoedRoundDoesNotPoisonTheNextOne) {
   ASSERT_EQ(bed.deployer->last_outcome(), TxnOutcome::kAborted);
 
   // Free capacity on host 1, then retry the same plan.
-  (void)bed.archs[1]->detach_component("resident_b");
+  (void)bed.archs[1]->detach_component(intern("resident_b"));
   bool success = false;
   ASSERT_TRUE(bed.deployer->effect_deployment(
       {{"mover", 1}}, [&](bool ok, std::size_t) { success = ok; }));
   bed.sim.run_until(25'000.0);
   EXPECT_TRUE(success);
   EXPECT_EQ(bed.deployer->last_outcome(), TxnOutcome::kCommitted);
-  auto* landed = dynamic_cast<Counter*>(bed.archs[1]->find_component("mover"));
+  auto* landed = dynamic_cast<Counter*>(
+      bed.archs[1]->find_component(intern("mover")));
   ASSERT_NE(landed, nullptr);
   EXPECT_EQ(landed->count, 9u);
   EXPECT_EQ(bed.counter_value("deploy.txn.aborted"), 1u);
@@ -211,8 +213,8 @@ TEST(TxnRedeploy, SeveredCommitRollsBackBeforeAnythingMoves) {
   EXPECT_FALSE(success);
   EXPECT_EQ(bed.deployer->last_outcome(), TxnOutcome::kRolledBack);
   EXPECT_EQ(bed.deployer->rounds_rolled_back(), 1u);
-  EXPECT_NE(bed.archs[1]->find_component("pinned"), nullptr);
-  EXPECT_EQ(bed.archs[2]->find_component("pinned"), nullptr);
+  EXPECT_NE(bed.archs[1]->find_component(intern("pinned")), nullptr);
+  EXPECT_EQ(bed.archs[2]->find_component(intern("pinned")), nullptr);
   ASSERT_EQ(bed.deployer->round_history().size(), 1u);
   const RoundRecord& record = bed.deployer->round_history().back();
   EXPECT_EQ(record.outcome, TxnOutcome::kRolledBack);
@@ -259,11 +261,11 @@ TEST(TxnRedeploy, ForcedRollbackRestoresCheckpointExactly) {
   // Checkpoint restored exactly: both components back on host 1, state
   // preserved through the round trip.
   auto* restored =
-      dynamic_cast<Counter*>(bed.archs[1]->find_component("lucky"));
+      dynamic_cast<Counter*>(bed.archs[1]->find_component(intern("lucky")));
   ASSERT_NE(restored, nullptr) << "compensation must move 'lucky' back";
   EXPECT_EQ(restored->count, 42u);
-  EXPECT_NE(bed.archs[1]->find_component("doomed"), nullptr);
-  EXPECT_EQ(bed.archs[2]->find_component("lucky"), nullptr);
+  EXPECT_NE(bed.archs[1]->find_component(intern("doomed")), nullptr);
+  EXPECT_EQ(bed.archs[2]->find_component(intern("lucky")), nullptr);
   ASSERT_EQ(bed.deployer->round_history().size(), 1u);
   const RoundRecord& record = bed.deployer->round_history().back();
   EXPECT_EQ(record.outcome, TxnOutcome::kRolledBack);
@@ -302,11 +304,12 @@ TEST(TxnRedeploy, AllowPartialKeepsCompletedMigrations) {
   EXPECT_FALSE(success);  // a partial commit is still not a success
   EXPECT_EQ(bed.deployer->last_outcome(), TxnOutcome::kPartial);
   EXPECT_EQ(bed.deployer->rounds_rolled_back(), 1u);
-  auto* kept = dynamic_cast<Counter*>(bed.archs[2]->find_component("lucky"));
+  auto* kept = dynamic_cast<Counter*>(
+      bed.archs[2]->find_component(intern("lucky")));
   ASSERT_NE(kept, nullptr) << "allow_partial must keep the completed move";
   EXPECT_EQ(kept->count, 7u);
-  EXPECT_EQ(bed.archs[1]->find_component("lucky"), nullptr);
-  EXPECT_NE(bed.archs[1]->find_component("doomed"), nullptr);
+  EXPECT_EQ(bed.archs[1]->find_component(intern("lucky")), nullptr);
+  EXPECT_NE(bed.archs[1]->find_component(intern("doomed")), nullptr);
   ASSERT_EQ(bed.deployer->round_history().size(), 1u);
   const RoundRecord& record = bed.deployer->round_history().back();
   EXPECT_EQ(record.outcome, TxnOutcome::kPartial);
@@ -349,8 +352,8 @@ TEST(TxnRedeploy, PrepareTimeoutAbortsWithUnresolvedNames) {
   EXPECT_EQ(record.unresolved.front(), "stuck");
   EXPECT_EQ(record.declared.at("stuck"), 0u);
   // Nothing moved: the component is still exactly where it was.
-  EXPECT_NE(bed.archs[0]->find_component("stuck"), nullptr);
-  EXPECT_EQ(bed.archs[1]->find_component("stuck"), nullptr);
+  EXPECT_NE(bed.archs[0]->find_component(intern("stuck")), nullptr);
+  EXPECT_EQ(bed.archs[1]->find_component(intern("stuck")), nullptr);
 }
 
 TEST(TxnRedeploy, RollbackTimeoutClosesAsRollbackFailed) {
@@ -537,7 +540,7 @@ TEST(TxnRedeploy, DuplicateAckAfterCustodyRetirementIsCountedAndInert) {
   bed.sim.run_until(30'000.0);
   ASSERT_TRUE(success);
   ASSERT_EQ(bed.deployer->last_outcome(), TxnOutcome::kCommitted);
-  ASSERT_EQ(bed.connectors[0]->location("mover"),
+  ASSERT_EQ(bed.connectors[0]->location(intern("mover")),
             std::optional<model::HostId>(1));
 
   // A clean commit may itself retire one redundant confirmation (the
@@ -560,17 +563,17 @@ TEST(TxnRedeploy, DuplicateAckAfterCustodyRetirementIsCountedAndInert) {
   EXPECT_EQ(bed.counter_value("deploy.stale_acks_total"), base_counter + 1);
   // The wrong-epoch path stayed untouched — this is the same-epoch edge.
   EXPECT_EQ(bed.deployer->stale_acks_ignored(), 0u);
-  EXPECT_EQ(bed.connectors[0]->location("mover"),
+  EXPECT_EQ(bed.connectors[0]->location(intern("mover")),
             std::optional<model::HostId>(1));
   EXPECT_FALSE(bed.deployer->redeployment_in_flight());
-  EXPECT_NE(bed.archs[1]->find_component("mover"), nullptr);
-  EXPECT_EQ(bed.archs[0]->find_component("mover"), nullptr);
+  EXPECT_NE(bed.archs[1]->find_component(intern("mover")), nullptr);
+  EXPECT_EQ(bed.archs[0]->find_component(intern("mover")), nullptr);
 
   // And it stays inert under repetition (every copy of a duplicated burst).
   bed.deployer->handle(dup);
   bed.deployer->handle(dup);
   EXPECT_EQ(bed.deployer->stale_acks_total(), base + 3);
-  EXPECT_EQ(bed.connectors[0]->location("mover"),
+  EXPECT_EQ(bed.connectors[0]->location(intern("mover")),
             std::optional<model::HostId>(1));
 }
 

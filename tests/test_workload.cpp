@@ -43,7 +43,7 @@ TEST(Workload, SendsAtConfiguredFrequency) {
       bed.arch1.add_component(std::make_unique<WorkloadComponent>(
           "consumer", 4.0, std::vector<WorkloadComponent::Link>{})));
   bed.arch1.weld(consumer, *bed.d1);
-  bed.d0->set_location("consumer", 1);
+  bed.d0->set_location(prism::intern("consumer"), 1);
 
   producer.start();
   bed.sim.run_until(10'000.0);  // 10 s at 5 evt/s
@@ -108,7 +108,7 @@ TEST(Workload, NoDuplicateScheduleAfterRestart) {
       bed.arch1.add_component(std::make_unique<WorkloadComponent>(
           "consumer", 1.0, std::vector<WorkloadComponent::Link>{})));
   bed.arch1.weld(consumer, *bed.d1);
-  bed.d0->set_location("consumer", 1);
+  bed.d0->set_location(prism::intern("consumer"), 1);
 
   producer.start();
   producer.start();  // double-start must not double the rate

@@ -857,7 +857,8 @@ int cmd_traffic(const Flags& flags) {
       std::min(1.0, 1.2 / static_cast<double>(tenant_count));
   for (std::uint64_t t = 0; t < tenant_count; ++t)
     opts.engine.tenants.push_back(
-        {"t" + std::to_string(t), t == 0 ? 2.0 : 1.0, budget});
+        {std::string("t").append(std::to_string(t)), t == 0 ? 2.0 : 1.0,
+         budget});
 
   const traffic::RunResult result = traffic::run_traffic(opts);
 
