@@ -9,6 +9,8 @@
 #   - the bench_check and bench_scalability regression gates, right after
 #     tier-1: their whole-run floors measure the machine as much as the
 #     code, and the sanitizer builds below leave it loaded;
+#   - a build-only Release configure (warnings are errors): GCC's -O3
+#     warnings depend on inlining, so the tier-1 build does not see them;
 #   - lint when clang-tidy is installed;
 #   - the full ctest suite again under ASan+UBSan with internal invariant
 #     asserts compiled in;
@@ -113,6 +115,14 @@ EOF
 else
   echo "python3 or BENCH_scalability.json missing; skipping scalability gate"
 fi
+
+echo "== Release build: warnings are errors =="
+# GCC 12 at -O3 prints -Wrestrict and -Wmaybe-uninitialized warnings that
+# follow inlining decisions the RelWithDebInfo (-O2) build above never
+# makes. Build only: the tier-1 ctest run carries correctness.
+cmake -B "$ROOT/build-release" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+cmake --build "$ROOT/build-release" -j "$JOBS"
 
 echo "== lint: clang-tidy =="
 if command -v clang-tidy >/dev/null 2>&1; then

@@ -26,10 +26,10 @@ void move_group(model::IncrementalEvaluator& inc, const ColocationGroups& groups
 
 /// Marks the hosts a probe of one group must read links for: the current
 /// host of each interaction partner and that host's physical neighbors.
-/// Any other host has no stored link to a partner, so a move there is a far
-/// move (IncrementalEvaluator::apply_far). Epoch-stamped: starting a group
-/// costs nothing per host. Marking stops once every host is near, which on
-/// small densely linked fleets happens after a few partners.
+/// Any other host has no stored link to a partner, so a probe there is a far
+/// round trip (IncrementalEvaluator::round_trip). Epoch-stamped: starting a
+/// group costs nothing per host. Marking stops once every host is near,
+/// which on small densely linked fleets happens after a few partners.
 class NearHosts {
  public:
   explicit NearHosts(std::size_t k) : stamp_(k, 0), expanded_(k, 0) {}
@@ -115,26 +115,18 @@ AlgoResult HillClimbAlgorithm::run(const model::DeploymentModel& model,
 
   // Probes group `g` on host `h` (g currently removed from `state`, still on
   // its old host in `inc`): returns the candidate objective value. A far
-  // probe scores the outbound move without reading the link table; the
-  // return move reads the links of `from`, which stay in cache across the
-  // group's whole scan.
+  // probe skips the link table, and most far probes replay the group's
+  // previous one.
   const auto probe = [&](std::uint32_t g, model::HostId from, model::HostId h,
                          bool far) {
     if (inc) {
-      for (const model::ComponentId c : groups.members[g]) {
-        if (far)
-          inc->apply_far(c, h, from);
-        else
-          inc->apply(c, h);
-      }
-      const double value = inc->value();
+      const double value = inc->round_trip(groups.members[g], from, h, far);
       search.consider_incremental(value, [&] {
         state.place(g, h);
         model::Deployment d = state.to_deployment();
         state.remove(g);
         return d;
       });
-      move_group(*inc, groups, g, from);
       return value;
     }
     state.place(g, h);

@@ -1,6 +1,7 @@
 #include "model/incremental.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/assert.h"
 
@@ -192,6 +193,7 @@ void IncrementalEvaluator::reset(const Deployment& d) {
   // Refresh the link table: reset() is the documented re-sync point after
   // model changes (add_host invalidates the previous view).
   links_ = model_->physical_link_table();
+  trip_.members = 0;
   switch (decomposition_.kind_) {
     case TermKind::kAvailability:
       reset_terms<TermKind::kAvailability>();
@@ -206,11 +208,70 @@ void IncrementalEvaluator::reset(const Deployment& d) {
 }
 
 void IncrementalEvaluator::apply(ComponentId c, HostId h) {
+  trip_.members = 0;
   move(c, h, links_);
 }
 
-void IncrementalEvaluator::apply_far(ComponentId c, HostId h, HostId from) {
-  move(c, h, FarLinks{links_, from});
+bool IncrementalEvaluator::external_only(
+    std::span<const ComponentId> group) const {
+  for (const ComponentId c : group)
+    for (std::uint32_t j = adj_offsets_[c]; j < adj_offsets_[c + 1]; ++j)
+      if (std::find(group.begin(), group.end(), adj_other_[j]) != group.end())
+        return false;
+  return true;
+}
+
+double IncrementalEvaluator::travel(std::span<const ComponentId> group,
+                                    HostId from, HostId h, bool far) {
+  for (const ComponentId c : group) {
+    if (far)
+      move(c, h, FarLinks{links_, from});
+    else
+      move(c, h, links_);
+  }
+  const double value = this->value();
+  for (const ComponentId c : group) move(c, from, links_);
+  return value;
+}
+
+double IncrementalEvaluator::round_trip(std::span<const ComponentId> group,
+                                        HostId from, HostId h, bool far) {
+  DIF_ASSERT(!group.empty() && h != from,
+             "a round trip moves a non-empty group to another host");
+  if (trip_.members != group.size() || trip_.first != group.front() ||
+      trip_.from != from)
+    trip_ = Trip{.first = group.front(),
+                 .members = group.size(),
+                 .from = from,
+                 .external_only = external_only(group)};
+  const auto start_bits = std::bit_cast<std::uint64_t>(sum_);
+  if (far && trip_.cached && start_bits == trip_.start_bits) {
+#ifdef DIF_ENABLE_ASSERTS
+    const std::uint64_t moves_before = moves_;
+    const double value = travel(group, from, h, far);
+    DIF_ASSERT(std::bit_cast<std::uint64_t>(value) ==
+                       std::bit_cast<std::uint64_t>(trip_.value) &&
+                   std::bit_cast<std::uint64_t>(sum_) ==
+                       std::bit_cast<std::uint64_t>(trip_.back_sum) &&
+                   moves_ - moves_before == trip_.moves,
+               "a replayed far round trip must match its arithmetic");
+    moves_ = moves_before;
+#endif
+    sum_ = trip_.back_sum;
+    moves_ += trip_.moves;
+    return trip_.value;
+  }
+  const std::uint64_t moves_before = moves_;
+  const double value = travel(group, from, h, far);
+  if (far && trip_.primed && trip_.external_only) {
+    trip_.cached = true;
+    trip_.start_bits = start_bits;
+    trip_.value = value;
+    trip_.back_sum = sum_;
+    trip_.moves = moves_ - moves_before;
+  }
+  trip_.primed = true;
+  return value;
 }
 
 }  // namespace dif::model

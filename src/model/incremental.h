@@ -10,6 +10,21 @@
 // enabling optimization for the move-based searches and the portfolio
 // runner's throughput.
 //
+// The hill climb probes a colocation group on a host and moves it back,
+// thousands of times per group: round_trip() is that probe. A far probe
+// (the target host has no stored link to any partner's host) is replayed
+// from the group's previous far probe instead of recomputed when
+//  * the group has no interaction between its own members, so every
+//    outbound term reads the all-zero link and does not depend on the
+//    target host;
+//  * an earlier round trip of this group from this host has left its terms
+//    in their return state, and no apply() or reset() has happened since;
+//  * the running sum is bit-equal to the one the cached trip started from.
+// The same floating-point operations on the same inputs give the same
+// bits, so a replay sets the sum and the move count the arithmetic would
+// have and returns the same value. DIF_ASSERT builds run the arithmetic
+// for every replay too and check the bits.
+//
 // Objectives that do not decompose pairwise (SecurityObjective's property
 // lookups, WeightedObjective's score mixing) are rejected by try_create();
 // callers fall back to full Objective::evaluate.
@@ -109,15 +124,20 @@ class IncrementalEvaluator {
   /// apply() calls; intra-group terms settle once all members have moved.
   void apply(ComponentId c, HostId h);
 
-  /// apply() for a far move: the caller knows that `h` has no stored
-  /// physical link (see link_stored) to the host of any of c's interaction
-  /// partners other than `from`, c's host before its group started moving.
-  /// Every remote pair except (h, from) is then scored over the all-zero
-  /// link without reading the table. The kernel runs the same floating-point
-  /// operations in the same order as apply(), on the value the table would
-  /// have returned, so the result is bit-identical; only the cache misses of
-  /// reading k-strided matrix entries are gone.
-  void apply_far(ComponentId c, HostId h, HostId from);
+  /// Probes `group` on `h`: moves every member (all on `from`, h != from)
+  /// to `h`, reads value(), and moves them back. Returns the value read on
+  /// `h`; afterwards value(), the assignment and moves_applied() are those
+  /// of the two apply() sequences. `far` promises that `h` has no stored
+  /// physical link (see link_stored) to the host of any interaction partner
+  /// outside the group. The outbound moves then score every remote pair
+  /// except (h, from) over the all-zero link without reading the table,
+  /// running the same floating-point operations in the same order as
+  /// apply() on the value the table would have returned, and a far probe
+  /// may be replayed (see the top of this file): both are bit-identical to
+  /// apply(). The groups a caller passes must be disjoint; a group is
+  /// recognized by its first member and size.
+  double round_trip(std::span<const ComponentId> group, HostId from, HostId h,
+                    bool far);
 
   /// Raw objective value of the current assignment.
   [[nodiscard]] double value() const { return decomposition_.finalize(sum_); }
@@ -147,8 +167,15 @@ class IncrementalEvaluator {
   IncrementalEvaluator(PairwiseDecomposition decomposition,
                        const DeploymentModel& m);
 
-  /// One move, its terms read through `links`: the table for apply(), a
-  /// far move's view of it for apply_far().
+  /// The round trip's arithmetic: the outbound moves (far or not), the
+  /// value on `h`, the return moves.
+  double travel(std::span<const ComponentId> group, HostId from, HostId h,
+                bool far);
+  /// True when no interaction joins two members of `group`.
+  [[nodiscard]] bool external_only(std::span<const ComponentId> group) const;
+
+  /// One move, its terms read through `links`: the table, or a far
+  /// outbound move's view of it.
   template <typename Links>
   void move(ComponentId c, HostId h, const Links& links);
   /// The term loops, one instantiation per objective kind so that the
@@ -177,6 +204,22 @@ class IncrementalEvaluator {
   std::vector<double> term_;
   double sum_ = 0.0;
   std::uint64_t moves_ = 0;
+
+  /// The last round trip's group and origin, and the far trip that can be
+  /// replayed for them. apply() and reset() forget it (members = 0).
+  struct Trip {
+    ComponentId first = 0;
+    std::size_t members = 0;
+    HostId from = kNoHost;
+    bool external_only = false;
+    bool primed = false;  // a round trip has left the terms in return state
+    bool cached = false;  // the fields below hold a replayable far trip
+    std::uint64_t start_bits = 0;
+    double value = 0.0;
+    double back_sum = 0.0;
+    std::uint64_t moves = 0;
+  };
+  Trip trip_;
 };
 
 }  // namespace dif::model

@@ -6,6 +6,7 @@
 // checks the delta bookkeeping; test_objective_golden pins the values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <memory>
@@ -120,10 +121,10 @@ TEST_P(IncrementalEquivalenceTest, ThousandsOfRandomMovesMatchFullEvaluate) {
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEquivalenceTest,
                          ::testing::ValuesIn(equivalence_cases()));
 
-/// A far move (apply_far) must land on the same bits as apply(): the
-/// hill climb's probes switch between the two per host. Groups of one or two
-/// interacting components move to hosts with no stored link to any outside
-/// partner's host; some stay, some return, and partners are occasionally
+/// A far round trip must read the same bits as apply(): the hill climb's
+/// probes switch between far and plain moves per host. Groups of one or two
+/// interacting components probe hosts with no stored link to any outside
+/// partner's host; some then stay there, and partners are occasionally
 /// unassigned so every branch of every term is taken.
 TEST(IncrementalEvaluator, FarMovesMatchApplyBitForBit) {
   auto system = desi::Generator::generate(
@@ -188,18 +189,18 @@ TEST(IncrementalEvaluator, FarMovesMatchApplyBitForBit) {
         if (!near[h]) candidates.push_back(h);
       if (candidates.empty()) continue;
       const HostId to = candidates[rng.index(candidates.size())];
-      for (const ComponentId member : group) {
-        plain->apply(member, to);
-        far->apply_far(member, to, from);
-      }
+      for (const ComponentId member : group) plain->apply(member, to);
+      const double plain_value = plain->value();
+      for (const ComponentId member : group) plain->apply(member, from);
       ++far_moves;
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(far->value()),
-                std::bit_cast<std::uint64_t>(plain->value()))
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                    far->round_trip(group, from, to, /*far=*/true)),
+                std::bit_cast<std::uint64_t>(plain_value))
           << objective->name() << " at step " << step;
       if (rng.chance(0.5))
         for (const ComponentId member : group) {
-          plain->apply(member, from);
-          far->apply(member, from);
+          plain->apply(member, to);
+          far->apply(member, to);
         }
       ASSERT_EQ(std::bit_cast<std::uint64_t>(far->value()),
                 std::bit_cast<std::uint64_t>(plain->value()))
@@ -208,6 +209,161 @@ TEST(IncrementalEvaluator, FarMovesMatchApplyBitForBit) {
     EXPECT_GT(far_moves, 1000u) << objective->name();
     EXPECT_EQ(far->moves_applied(), plain->moves_applied());
   }
+}
+
+/// Drives IncrementalEvaluator::round_trip the way the hill climb does
+/// (scans of one group over every host, far where no partner's host links
+/// to the target) and a twin through the same round trips made of plain
+/// apply() calls, with external group moves, unassigned groups and resets
+/// in between. Returns how many far probes ran.
+std::size_t expect_round_trips_match_twin(const DeploymentModel& m,
+                                          const Deployment& start,
+                                          const Objective& objective,
+                                          std::uint64_t seed) {
+  util::Xoshiro256ss rng(seed);
+  // A partition into groups: interacting pairs (internal interactions),
+  // non-interacting pairs, and singletons.
+  std::vector<std::vector<ComponentId>> groups;
+  std::vector<char> grouped(m.component_count(), 0);
+  for (const Interaction& ix : m.interactions())
+    if (!grouped[ix.a] && !grouped[ix.b] && rng.chance(0.4)) {
+      groups.push_back({ix.a, ix.b});
+      grouped[ix.a] = grouped[ix.b] = 1;
+    }
+  std::vector<ComponentId> rest;
+  for (ComponentId c = 0; c < m.component_count(); ++c)
+    if (!grouped[c]) rest.push_back(c);
+  rng.shuffle(rest);
+  for (std::size_t i = 0; i < rest.size(); ++i) {
+    if (i + 1 < rest.size() && rng.chance(0.2) &&
+        m.logical_link(rest[i], rest[i + 1]).frequency == 0.0) {
+      groups.push_back({rest[i], rest[i + 1]});
+      ++i;
+    } else {
+      groups.push_back({rest[i]});
+    }
+  }
+  std::vector<std::vector<ComponentId>> partners(m.component_count());
+  for (const Interaction& ix : m.interactions()) {
+    partners[ix.a].push_back(ix.b);
+    partners[ix.b].push_back(ix.a);
+  }
+  std::vector<std::size_t> group_of(m.component_count());
+  for (std::size_t g = 0; g < groups.size(); ++g)
+    for (const ComponentId c : groups[g]) group_of[c] = g;
+
+  Deployment colocated = start;
+  for (const auto& group : groups)
+    for (const ComponentId c : group)
+      colocated.assign(c, start.host_of(group.front()));
+  auto inc = IncrementalEvaluator::try_create(objective, m);
+  auto twin = IncrementalEvaluator::try_create(objective, m);
+  EXPECT_TRUE(inc.has_value() && twin.has_value());
+  if (!inc || !twin) return 0;
+  inc->reset(colocated);
+  twin->reset(colocated);
+  const auto move_group = [&](const std::vector<ComponentId>& group,
+                              HostId h) {
+    for (const ComponentId c : group) {
+      inc->apply(c, h);
+      twin->apply(c, h);
+    }
+  };
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::size_t far_probes = 0;
+  std::size_t g = 0;
+  HostId h = 0;
+  for (std::size_t step = 0; step < 20000; ++step) {
+    if (rng.chance(0.03)) {
+      // A group moves, leaves or returns between probes: mostly a partner
+      // of the scanned group, often onto the scanned group's host, so the
+      // running sum may stay bit-equal while the scanned group's terms
+      // change.
+      const ComponentId member = groups[g][rng.index(groups[g].size())];
+      const auto& other =
+          !partners[member].empty() && rng.chance(0.7)
+              ? groups[group_of[partners[member][rng.index(
+                    partners[member].size())]]]
+              : groups[rng.index(groups.size())];
+      HostId to = static_cast<HostId>(rng.index(m.host_count()));
+      if (twin->host_of(other.front()) != kNoHost && rng.chance(0.2))
+        to = kNoHost;
+      else if (rng.chance(0.5))
+        to = twin->host_of(member);
+      move_group(other, to);
+    }
+    if (rng.chance(0.003)) {
+      const Deployment d = twin->to_deployment();
+      inc->reset(d);
+      twin->reset(d);
+    }
+    if (h == m.host_count()) {  // scan finished: rescan or pick another
+      h = 0;
+      if (rng.chance(0.5)) g = rng.index(groups.size());
+    }
+    const std::vector<ComponentId>& group = groups[g];
+    const HostId from = twin->host_of(group.front());
+    const HostId to = h++;
+    if (from == kNoHost || to == from) continue;
+    bool far = true;
+    for (const ComponentId c : group)
+      for (const ComponentId p : partners[c]) {
+        const HostId ph = twin->host_of(p);
+        if (ph == kNoHost ||
+            std::find(group.begin(), group.end(), p) != group.end())
+          continue;
+        if (ph == to || link_stored(m.physical_link(ph, to))) far = false;
+      }
+    if (far && rng.chance(0.1)) far = false;  // a far host probed plainly
+    far_probes += far;
+
+    for (const ComponentId c : group) twin->apply(c, to);
+    const double expected = twin->value();
+    for (const ComponentId c : group) twin->apply(c, from);
+    const double value = inc->round_trip(group, from, to, far);
+    EXPECT_EQ(bits(value), bits(expected))
+        << objective.name() << " seed " << seed << " probe at step " << step;
+    EXPECT_EQ(bits(inc->value()), bits(twin->value()))
+        << objective.name() << " seed " << seed << " return at step " << step;
+    if (::testing::Test::HasFailure()) return far_probes;
+  }
+  EXPECT_EQ(inc->moves_applied(), twin->moves_applied()) << objective.name();
+  EXPECT_EQ(inc->to_deployment(), twin->to_deployment()) << objective.name();
+  return far_probes;
+}
+
+/// Replayed far round trips must land on the bits the arithmetic would
+/// have: on a sparse generated fleet, and on one whose terms are small
+/// integers, where a partner's move often leaves the running sum bit-equal
+/// while the probed group's terms change.
+TEST(IncrementalEvaluator, RoundTripReplayIsBitExact) {
+  const desi::GeneratorSpec sparse{.hosts = 24,
+                                   .components = 60,
+                                   .link_density = 2.0 / 24.0,
+                                   .interaction_density = 3.0 / 60.0};
+  desi::GeneratorSpec integral = sparse;
+  integral.hosts = 10;
+  integral.link_density = 1.0 / 10.0;
+  integral.reliability = {0.5, 0.5};
+  integral.bandwidth = {1000.0, 1000.0};
+  integral.delay_ms = {1.0, 1.0};
+  integral.frequency = {1.0, 1.0};
+  integral.event_size = {1.0, 1.0};
+  for (const desi::GeneratorSpec& spec : {sparse, integral})
+    for (const std::uint64_t seed : {3, 11}) {
+      const auto system = desi::Generator::generate(spec, seed);
+      const DeploymentModel& m = system->model();
+      const AvailabilityObjective availability;
+      const LatencyObjective latency(555.5);
+      const CommunicationCostObjective comm_cost;
+      const Objective* objectives[] = {&availability, &latency, &comm_cost};
+      for (const Objective* objective : objectives)
+        EXPECT_GT(expect_round_trips_match_twin(m, system->deployment(),
+                                                *objective, seed),
+                  1000u)
+            << objective->name() << " seed " << seed;
+    }
 }
 
 TEST(IncrementalEvaluator, ScoreMatchesObjectiveScore) {
