@@ -189,13 +189,12 @@ void run(int argc, char** argv) {
 
     model::DeploymentModel& m = system.model();
     const model::HostId fluctuated = 0;
-    const auto links = m.physical_link_table();
-    for (std::size_t h = 1; h < m.host_count(); ++h) {
-      const model::PhysicalLink& link =
-          links.at(fluctuated, static_cast<model::HostId>(h));
-      if (link.reliability > 0.0)
-        m.set_link_reliability(fluctuated, static_cast<model::HostId>(h),
-                               link.reliability * 0.5);
+    // Rescaling a stored link's reliability leaves it stored, so the row
+    // stays valid while it is walked.
+    for (const model::HostId h : m.physical_neighbors(fluctuated)) {
+      const double reliability = m.physical_link(fluctuated, h).reliability;
+      if (reliability > 0.0)
+        m.set_link_reliability(fluctuated, h, reliability * 0.5);
     }
     std::vector<model::ComponentId> dirty;
     for (std::size_t c = 0; c < base.size(); ++c)

@@ -18,12 +18,10 @@ AwarenessGraph AwarenessGraph::full(std::size_t host_count) {
 
 AwarenessGraph AwarenessGraph::from_links(const model::DeploymentModel& m) {
   AwarenessGraph g(m.host_count());
-  for (std::size_t a = 0; a < m.host_count(); ++a)
-    for (std::size_t b = a + 1; b < m.host_count(); ++b)
-      if (m.connected(static_cast<model::HostId>(a),
-                      static_cast<model::HostId>(b)))
-        g.connect(static_cast<model::HostId>(a),
-                  static_cast<model::HostId>(b));
+  m.for_each_physical_link([&](model::HostId a, model::HostId b,
+                               const model::PhysicalLink& link) {
+    if (link.bandwidth > 0.0) g.connect(a, b);
+  });
   return g;
 }
 

@@ -43,11 +43,9 @@ PortfolioResult PortfolioRunner::run(const model::DeploymentModel& model,
     return result;
   }
 
-  // The DeploymentModel's interaction list and host-adjacency index are
-  // lazily built mutable caches; prime them on this thread so workers only
-  // ever read them.
+  // The DeploymentModel's interaction list is a lazily built mutable cache;
+  // prime it on this thread so workers only ever read it.
   (void)model.interactions();
-  if (model.host_count() > 0) (void)model.physical_neighbors(0);
 
   // Internal token: fired by the deadline watchdog or by the caller's token
   // (chained as parent), observed by every entry via AlgoOptions::cancel.

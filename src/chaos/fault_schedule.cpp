@@ -36,14 +36,11 @@ void draw_scenario_actions(const ScenarioSpec& spec,
                            OverlapLedger& ledger,
                            std::vector<FaultAction>& out) {
   std::vector<std::pair<model::HostId, model::HostId>> links;
+  m.for_each_physical_link([&](model::HostId a, model::HostId b,
+                               const model::PhysicalLink& link) {
+    if (link.bandwidth > 0.0) links.emplace_back(a, b);
+  });
   const std::size_t k = m.host_count();
-  for (std::size_t a = 0; a < k; ++a)
-    for (std::size_t b = a + 1; b < k; ++b)
-      if (m.physical_link(static_cast<model::HostId>(a),
-                          static_cast<model::HostId>(b))
-              .bandwidth > 0.0)
-        links.emplace_back(static_cast<model::HostId>(a),
-                           static_cast<model::HostId>(b));
 
   std::vector<model::HostId> crashable;
   for (std::size_t h = 0; h < k; ++h)

@@ -225,11 +225,11 @@ CheckReport ResilienceProver::prove(const DeploymentModel& m,
   // Unassigned or out-of-range components are the PlacementAuditor's
   // findings; here they simply carry no service to lose.
   std::vector<std::vector<HostId>> adj(k);
-  for (std::size_t a = 0; a < k; ++a)
-    for (std::size_t b = 0; b < k; ++b)
-      if (a != b &&
-          m.connected(static_cast<HostId>(a), static_cast<HostId>(b)))
-        adj[a].push_back(static_cast<HostId>(b));
+  for (std::size_t a = 0; a < k; ++a) {
+    const auto host = static_cast<HostId>(a);
+    for (const HostId b : m.physical_neighbors(host))
+      if (m.connected(host, b)) adj[a].push_back(b);
+  }
 
   std::vector<bool> placed(covered, false);
   std::vector<HostId> where(covered, 0);

@@ -142,39 +142,32 @@ void check_param_ranges(Ctx& ctx) {
                  " is not a finite non-negative number",
              "set a non-negative CPU load");
   }
-  // Walk the stored links in canonical (a, b > a) order through the model's
-  // host-adjacency index. A pair it does not index holds the all-zero entry,
-  // which the absent-link test below skips anyway, so the walk is exact;
-  // the raw entries of a pair physical_link() reports as disconnected fail
-  // the same test.
-  const model::PhysicalLinkTable links = ctx.m.physical_link_table();
-  for (std::size_t a = 0; a < ctx.k; ++a) {
-    for (const HostId b : ctx.m.physical_neighbors(static_cast<HostId>(a))) {
-      if (b < a) continue;
-      const model::PhysicalLink& link = links.at(static_cast<HostId>(a), b);
-      if (link.bandwidth <= 0.0 && link.reliability <= 0.0 &&
-          !std::isnan(link.reliability) && !std::isnan(link.bandwidth))
-        continue;  // absent link
-      const std::string subject = "link " +
-                                  ctx.m.host(static_cast<HostId>(a)).name +
-                                  "--" +
-                                  ctx.m.host(static_cast<HostId>(b)).name;
-      if (bad_unit(link.reliability))
-        report(subject,
-               "reliability " + fmt(link.reliability) + " is outside [0, 1]",
-               "clamp the reliability into [0, 1]");
-      if (bad_nonneg(link.bandwidth))
-        report(subject,
-               "bandwidth " + fmt(link.bandwidth) +
-                   " is not a finite non-negative number",
-               "set a non-negative bandwidth in KB/s");
-      if (bad_nonneg(link.delay_ms))
-        report(subject,
-               "delay " + fmt(link.delay_ms) +
-                   " is not a finite non-negative number",
-               "set a non-negative delay in ms");
-    }
-  }
+  // Walk the stored links in canonical (a, b > a) order. A pair the model
+  // does not store reads all-zero, which the absent-link test below skips
+  // anyway, so the walk is exact; the raw entries of a pair physical_link()
+  // reports as disconnected fail the same test.
+  ctx.m.for_each_physical_link([&](HostId a, HostId b,
+                                   const model::PhysicalLink& link) {
+    if (link.bandwidth <= 0.0 && link.reliability <= 0.0 &&
+        !std::isnan(link.reliability) && !std::isnan(link.bandwidth))
+      return;  // absent link
+    const std::string subject =
+        "link " + ctx.m.host(a).name + "--" + ctx.m.host(b).name;
+    if (bad_unit(link.reliability))
+      report(subject,
+             "reliability " + fmt(link.reliability) + " is outside [0, 1]",
+             "clamp the reliability into [0, 1]");
+    if (bad_nonneg(link.bandwidth))
+      report(subject,
+             "bandwidth " + fmt(link.bandwidth) +
+                 " is not a finite non-negative number",
+             "set a non-negative bandwidth in KB/s");
+    if (bad_nonneg(link.delay_ms))
+      report(subject,
+             "delay " + fmt(link.delay_ms) +
+                 " is not a finite non-negative number",
+             "set a non-negative delay in ms");
+  });
   // Iterate the raw logical links, not interactions(): the interaction
   // cache filters on frequency > 0, which would hide negative/NaN entries.
   // Storage order is hash order, so collect the defective pairs and report
@@ -345,15 +338,14 @@ void check_groups(Ctx& ctx, bool location_satisfiability,
 }
 
 /// Visits, in ascending order, the hosts a physical link with bandwidth > 0
-/// connects `h` to (DeploymentModel::connected): the model's stored-link
-/// index filtered, so the analyzer keeps no adjacency of its own.
+/// connects `h` to (DeploymentModel::connected): the model's row of `h`
+/// filtered, so the analyzer keeps no adjacency of its own.
 template <typename Visit>
 void for_each_connected(const DeploymentModel& m, std::size_t h,
                         Visit&& visit) {
   const auto host = static_cast<HostId>(h);
-  const model::PhysicalLinkTable links = m.physical_link_table();
   for (const HostId other : m.physical_neighbors(host))
-    if (links.at(host, other).bandwidth > 0.0) visit(other);
+    if (m.connected(host, other)) visit(other);
 }
 
 /// Connected components of the physical network, labelled in order of their

@@ -25,14 +25,13 @@
 // Complexity: the rules read what the model and constraint set store, not
 // every id pair: O(n + k + stored physical and logical links + rules) plus
 // bitmask rows of n·k/64 words. param-range, network-partition and
-// isolated-host walk the model's host-adjacency index
-// (DeploymentModel::physical_neighbors), so no rule streams the dense k×k
-// link matrix; the model rebuilds the index, in one pass over the matrix,
-// only after a write adds or removes a link. region-spof still tests up to
-// k allow bits per component confined to one region. At 1024 hosts x 2048
-// components (~8 links per host) the pre-flight rule set costs ~3 ms, down
-// from ~6.7 ms while param-range and the network rules streamed the matrix;
-// param-range is the costliest rule at ~0.9 ms. The preflight hook
+// isolated-host walk the model's sparse link store (for_each_physical_link
+// and the per-host rows of DeploymentModel::physical_neighbors), which
+// holds only the stored links. region-spof still tests up to k allow bits
+// per component confined to one region. At 1024 hosts x 2048 components
+// (~8 links per host) the pre-flight rule set costs ~3 ms, down from
+// ~6.7 ms while param-range and the network rules streamed a dense k×k
+// matrix; param-range is the costliest rule at ~0.9 ms. The preflight hook
 // (preflight.h) runs it on every algorithm entry, where it is under a tenth
 // of a warm-started decision.
 #pragma once

@@ -39,9 +39,8 @@ CentralizedInstantiation::CentralizedInstantiation(desi::SystemData& system,
         "arch@" + m.host(host).name, *scaffold_, host);
     auto connector = std::make_unique<prism::DistributionConnector>(
         "dist@" + m.host(host).name, *network_, host);
-    for (std::size_t g = 0; g < k; ++g)
-      if (g != h && m.connected(host, static_cast<model::HostId>(g)))
-        connector->add_peer(static_cast<model::HostId>(g));
+    for (const model::HostId peer : m.physical_neighbors(host))
+      if (m.connected(host, peer)) connector->add_peer(peer);
     if (config_.create_deployer) connector->set_mediator(config_.master_host);
     if (config_.enable_store_and_forward)
       connector->enable_store_and_forward(config_.store_and_forward_retry_ms);
@@ -66,18 +65,19 @@ CentralizedInstantiation::CentralizedInstantiation(desi::SystemData& system,
     while (!frontier.empty()) {
       std::vector<model::HostId> next;
       for (const model::HostId at : frontier)
-        for (std::size_t g = 0; g < k; ++g) {
-          const auto peer = static_cast<model::HostId>(g);
-          if (seen[g] || !m.connected(at, peer)) continue;
-          seen[g] = true;
-          parent[g] = at;
+        for (const model::HostId peer : m.physical_neighbors(at)) {
+          if (seen[peer] || !m.connected(at, peer)) continue;
+          seen[peer] = true;
+          parent[peer] = at;
           next.push_back(peer);
         }
       frontier = std::move(next);
     }
+    // A reached host whose parent is the origin is directly linked to it
+    // (so is the origin itself): only the others need a route.
     for (std::size_t g = 0; g < k; ++g) {
       const auto destination = static_cast<model::HostId>(g);
-      if (g == h || !seen[g] || m.connected(origin, destination)) continue;
+      if (!seen[g] || parent[g] == origin) continue;
       model::HostId hop = destination;
       while (parent[hop] != origin) hop = parent[hop];
       connectors_[h]->set_next_hop(destination, hop);

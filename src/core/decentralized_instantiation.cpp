@@ -123,9 +123,8 @@ std::size_t DecentralizedInstantiation::gossip_sync() {
     prism::ByteWriter rels;
     rels.u32(0);  // count, patched below
     std::uint32_t rel_count = 0;
-    for (std::size_t g = 0; g < k; ++g) {
-      const auto peer = static_cast<model::HostId>(g);
-      if (peer == origin || !lm.connected(origin, peer)) continue;
+    for (const model::HostId peer : lm.physical_neighbors(origin)) {
+      if (!lm.connected(origin, peer)) continue;
       rels.u32(peer);
       rels.f64(lm.physical_link(origin, peer).reliability);
       ++rel_count;

@@ -29,7 +29,6 @@ std::unique_ptr<SystemData> Generator::generate(const GeneratorSpec& spec,
   model::DeploymentModel& m = system.model();
 
   // --- hosts -----------------------------------------------------------------
-  m.reserve_hosts(spec.hosts);
   for (std::size_t h = 0; h < spec.hosts; ++h) {
     m.add_host({.name = "host" + std::to_string(h),
                 .memory_capacity = sample(rng, spec.host_memory),

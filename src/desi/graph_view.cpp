@@ -19,17 +19,13 @@ std::string GraphView::render_ascii(const SystemData& system) {
     }
   }
   out += "physical links:\n";
-  for (std::size_t a = 0; a < m.host_count(); ++a) {
-    for (std::size_t b = a + 1; b < m.host_count(); ++b) {
-      const auto ha = static_cast<model::HostId>(a);
-      const auto hb = static_cast<model::HostId>(b);
-      if (!m.connected(ha, hb)) continue;
-      const model::PhysicalLink& link = m.physical_link(ha, hb);
+  m.for_each_physical_link([&](model::HostId ha, model::HostId hb,
+                               const model::PhysicalLink& link) {
+    if (link.bandwidth > 0.0)  // connected
       out += "  " + m.host(ha).name + " === " + m.host(hb).name + "  (rel " +
              util::fmt(link.reliability, 2) + ", bw " +
              util::fmt(link.bandwidth, 0) + " KB/s)\n";
-    }
-  }
+  });
   out += "logical links:\n";
   for (const model::Interaction& ix : m.interactions()) {
     out += "  " + m.component(ix.a).name + " --- " + m.component(ix.b).name +
@@ -63,16 +59,13 @@ std::string GraphView::to_dot(const SystemData& system,
     }
     out += "  }\n";
   }
-  for (std::size_t a = 0; a < m.host_count(); ++a) {
-    for (std::size_t b = a + 1; b < m.host_count(); ++b) {
-      const auto ha = static_cast<model::HostId>(a);
-      const auto hb = static_cast<model::HostId>(b);
-      if (!m.connected(ha, hb)) continue;
-      // Host-level edges need representative nodes; use clusters via lhead.
+  m.for_each_physical_link([&](model::HostId ha, model::HostId hb,
+                               const model::PhysicalLink& link) {
+    // Host-level edges need representative nodes; use clusters via lhead.
+    if (link.bandwidth > 0.0)  // connected
       out += "  // physical " + m.host(ha).name + " -- " + m.host(hb).name +
              "\n";
-    }
-  }
+  });
   for (const model::Interaction& ix : m.interactions()) {
     out += "  c" + std::to_string(ix.a) + " -- c" + std::to_string(ix.b) +
            " [penwidth=0.5];\n";

@@ -82,17 +82,13 @@ std::vector<std::string> Modifier::drain_host(model::HostId host) {
 
 void Modifier::scale_all_reliabilities(double factor) {
   model::DeploymentModel& m = system_.model();
-  const std::size_t k = m.host_count();
-  for (std::size_t a = 0; a < k; ++a) {
-    for (std::size_t b = a + 1; b < k; ++b) {
-      const auto ha = static_cast<model::HostId>(a);
-      const auto hb = static_cast<model::HostId>(b);
-      if (!m.connected(ha, hb)) continue;
-      const double current = m.physical_link(ha, hb).reliability;
+  // Rescaling keeps bandwidth > 0, so every visited link stays stored.
+  m.for_each_physical_link([&](model::HostId ha, model::HostId hb,
+                               const model::PhysicalLink& link) {
+    if (link.bandwidth > 0.0)  // connected
       m.set_link_reliability(ha, hb,
-                             std::clamp(current * factor, 0.0, 1.0));
-    }
-  }
+                             std::clamp(link.reliability * factor, 0.0, 1.0));
+  });
 }
 
 }  // namespace dif::desi

@@ -40,17 +40,13 @@ std::string TableView::render_components(const SystemData& system) {
 std::string TableView::render_links(const SystemData& system) {
   Table table({"link", "reliability", "bandwidth (KB/s)", "delay (ms)"});
   const model::DeploymentModel& m = system.model();
-  for (std::size_t a = 0; a < m.host_count(); ++a) {
-    for (std::size_t b = a + 1; b < m.host_count(); ++b) {
-      const auto ha = static_cast<model::HostId>(a);
-      const auto hb = static_cast<model::HostId>(b);
-      if (!m.connected(ha, hb)) continue;
-      const model::PhysicalLink& link = m.physical_link(ha, hb);
+  m.for_each_physical_link([&](model::HostId ha, model::HostId hb,
+                               const model::PhysicalLink& link) {
+    if (link.bandwidth > 0.0)  // connected
       table.add_row({m.host(ha).name + "--" + m.host(hb).name,
                      fmt(link.reliability, 3), fmt(link.bandwidth, 1),
                      fmt(link.delay_ms, 1)});
-    }
-  }
+  });
   return table.render();
 }
 

@@ -35,22 +35,18 @@ json::Value XadlLite::to_json(const SystemData& system) {
   doc.emplace("components", std::move(components));
 
   json::Array links;
-  for (std::size_t a = 0; a < m.host_count(); ++a) {
-    for (std::size_t b = a + 1; b < m.host_count(); ++b) {
-      const auto ha = static_cast<model::HostId>(a);
-      const auto hb = static_cast<model::HostId>(b);
-      const model::PhysicalLink& link = m.physical_link(ha, hb);
-      if (link.bandwidth <= 0.0 && link.reliability <= 0.0) continue;
-      json::Object entry;
-      entry.emplace("a", m.host(ha).name);
-      entry.emplace("b", m.host(hb).name);
-      entry.emplace("reliability", link.reliability);
-      entry.emplace("bandwidth", link.bandwidth);
-      entry.emplace("delay_ms", link.delay_ms);
-      entry.emplace("properties", link.properties.to_json());
-      links.emplace_back(std::move(entry));
-    }
-  }
+  m.for_each_physical_link([&](model::HostId ha, model::HostId hb,
+                               const model::PhysicalLink& link) {
+    if (link.bandwidth <= 0.0 && link.reliability <= 0.0) return;
+    json::Object entry;
+    entry.emplace("a", m.host(ha).name);
+    entry.emplace("b", m.host(hb).name);
+    entry.emplace("reliability", link.reliability);
+    entry.emplace("bandwidth", link.bandwidth);
+    entry.emplace("delay_ms", link.delay_ms);
+    entry.emplace("properties", link.properties.to_json());
+    links.emplace_back(std::move(entry));
+  });
   doc.emplace("physical_links", std::move(links));
 
   json::Array interactions;
@@ -126,7 +122,6 @@ std::unique_ptr<SystemData> XadlLite::from_json(const json::Value& doc) {
   auto system = std::make_unique<SystemData>();
   model::DeploymentModel& m = system->model();
 
-  m.reserve_hosts(doc.at("hosts").as_array().size());
   for (const json::Value& entry : doc.at("hosts").as_array()) {
     model::Host host;
     host.name = entry.at("name").as_string();

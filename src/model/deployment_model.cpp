@@ -20,11 +20,6 @@ const PhysicalLink& local_link() {
   return link;
 }
 
-const PhysicalLink& disconnected_link() {
-  static const PhysicalLink link{};
-  return link;
-}
-
 const LogicalLink& no_interaction() {
   static const LogicalLink link{};
   return link;
@@ -48,30 +43,9 @@ HostId DeploymentModel::add_host(Host host) {
                                   host.name + "'");
   const auto id = static_cast<HostId>(hosts_.size());
   hosts_.push_back(std::move(host));
-  // Geometric regrowth keeps one-host-at-a-time construction amortized
-  // O(k^2) over the whole build instead of O(k^3).
-  if (hosts_.size() > phys_dim_)
-    grow_link_matrix(std::max<std::size_t>(hosts_.size(), phys_dim_ * 2));
-  DIF_ASSERT(physical_.size() == phys_dim_ * phys_dim_ &&
-                 phys_dim_ >= hosts_.size(),
-             "link matrix must cover the host count");
-  // The new host has no links: its index row is empty.
-  if (!neighbors_dirty_) neighbor_offsets_.push_back(neighbor_offsets_.back());
+  link_rows_.emplace_back();  // the new host has no links
   notify({.event = ModelEvent::kTopologyChanged, .host_a = id});
   return id;
-}
-
-void DeploymentModel::reserve_hosts(std::size_t n) {
-  if (n > phys_dim_) grow_link_matrix(n);
-}
-
-void DeploymentModel::grow_link_matrix(std::size_t dim) {
-  std::vector<PhysicalLink> grown(dim * dim);
-  for (std::size_t i = 0; i < phys_dim_; ++i)
-    for (std::size_t j = i + 1; j < phys_dim_; ++j)
-      grown[i * dim + j] = std::move(physical_[i * phys_dim_ + j]);
-  physical_ = std::move(grown);
-  phys_dim_ = dim;
 }
 
 ComponentId DeploymentModel::add_component(SoftwareComponent component) {
@@ -149,16 +123,6 @@ void DeploymentModel::check_component(ComponentId id) const {
     throw std::out_of_range("DeploymentModel: bad component id");
 }
 
-std::size_t DeploymentModel::phys_index(HostId a, HostId b) const {
-  check_host(a);
-  check_host(b);
-  const auto [lo, hi] = std::minmax(a, b);
-  const std::size_t index = static_cast<std::size_t>(lo) * phys_dim_ + hi;
-  DIF_ASSERT(index < physical_.size(),
-             "canonical host pair must index into the physical matrix");
-  return index;
-}
-
 std::uint64_t DeploymentModel::logi_key(ComponentId a, ComponentId b) {
   const auto [lo, hi] = std::minmax(a, b);
   return (static_cast<std::uint64_t>(lo) << 32) | hi;
@@ -168,10 +132,42 @@ template <typename Update>
 void DeploymentModel::write_link(HostId a, HostId b, Update&& update) {
   if (a == b)
     throw std::invalid_argument("DeploymentModel: self physical link");
-  PhysicalLink& link = physical_[phys_index(a, b)];
-  const bool was_stored = link_stored(link);
-  update(link);
-  if (link_stored(link) != was_stored) neighbors_dirty_ = true;
+  check_host(a);
+  check_host(b);
+  const std::size_t i = link_rows_[a].lower(b);
+  if (link_rows_[a].holds(i, b)) {
+    const std::uint32_t slot = link_rows_[a].slots[i];
+    update(links_[slot]);
+    if (!link_stored(links_[slot])) {
+      for (const auto& [x, y] : {std::pair(a, b), std::pair(b, a)}) {
+        LinkRow& row = link_rows_[x];
+        const std::size_t at = row.lower(y);
+        DIF_ASSERT(row.holds(at, y), "a stored link is in both hosts' rows");
+        row.peers.erase(row.peers.begin() + static_cast<std::ptrdiff_t>(at));
+        row.slots.erase(row.slots.begin() + static_cast<std::ptrdiff_t>(at));
+      }
+      links_[slot] = PhysicalLink{};
+      free_slots_.push_back(slot);
+    }
+  } else {
+    PhysicalLink link;
+    update(link);
+    if (link_stored(link)) {
+      if (free_slots_.empty()) {
+        free_slots_.push_back(static_cast<std::uint32_t>(links_.size()));
+        links_.emplace_back();
+      }
+      const std::uint32_t slot = free_slots_.back();
+      free_slots_.pop_back();
+      links_[slot] = std::move(link);
+      for (const auto& [x, y] : {std::pair(a, b), std::pair(b, a)}) {
+        LinkRow& row = link_rows_[x];
+        const auto at = static_cast<std::ptrdiff_t>(row.lower(y));
+        row.peers.insert(row.peers.begin() + at, y);
+        row.slots.insert(row.slots.begin() + at, slot);
+      }
+    }
+  }
   notify({.event = ModelEvent::kPhysicalLinkChanged, .host_a = a,
           .host_b = b});
 }
@@ -190,54 +186,20 @@ const PhysicalLink& DeploymentModel::physical_link(HostId a, HostId b) const {
   check_host(a);
   check_host(b);
   if (a == b) return local_link();
-  const PhysicalLink& link = physical_[phys_index(a, b)];
-  if (link.bandwidth <= 0.0 && link.reliability <= 0.0)
-    return disconnected_link();
-  return link;
+  const PhysicalLink* link = find_link(a, b);
+  if (link == nullptr || (link->bandwidth <= 0.0 && link->reliability <= 0.0))
+    return kAbsentLink;
+  return *link;
 }
 
 bool DeploymentModel::connected(HostId a, HostId b) const {
-  if (a == b) return false;
-  return physical_[phys_index(a, b)].bandwidth > 0.0;
+  // A link physical_link() reports as disconnected has bandwidth <= 0.
+  return a != b && physical_link(a, b).bandwidth > 0.0;
 }
 
 std::span<const HostId> DeploymentModel::physical_neighbors(HostId h) const {
   check_host(h);
-  if (neighbors_dirty_) rebuild_neighbors();
-  DIF_ASSERT(neighbor_offsets_.size() == hosts_.size() + 1,
-             "neighbor index must have one row per host");
-  const std::uint32_t begin = neighbor_offsets_[h];
-  return {neighbors_.data() + begin, neighbor_offsets_[h + 1] - begin};
-}
-
-void DeploymentModel::rebuild_neighbors() const {
-  // One pass over the matrix's upper triangle collects the stored pairs in
-  // canonical (a, b) order; a counting sort then lays out the rows. Row x
-  // receives its lower neighbors (from earlier rows) before its upper ones,
-  // each in ascending order, so every row comes out sorted.
-  const std::size_t k = hosts_.size();
-  std::vector<std::pair<HostId, HostId>> pairs;
-  for (std::size_t a = 0; a < k; ++a) {
-    const PhysicalLink* row = physical_.data() + a * phys_dim_;
-    for (std::size_t b = a + 1; b < k; ++b)
-      if (link_stored(row[b]))
-        pairs.emplace_back(static_cast<HostId>(a), static_cast<HostId>(b));
-  }
-  neighbor_offsets_.assign(k + 1, 0);
-  for (const auto& [a, b] : pairs) {
-    ++neighbor_offsets_[a + 1];
-    ++neighbor_offsets_[b + 1];
-  }
-  for (std::size_t h = 0; h < k; ++h)
-    neighbor_offsets_[h + 1] += neighbor_offsets_[h];
-  neighbors_.resize(neighbor_offsets_[k]);
-  std::vector<std::uint32_t> cursor(neighbor_offsets_.begin(),
-                                    neighbor_offsets_.end() - 1);
-  for (const auto& [a, b] : pairs) {
-    neighbors_[cursor[a]++] = b;
-    neighbors_[cursor[b]++] = a;
-  }
-  neighbors_dirty_ = false;
+  return link_rows_[h].peers;
 }
 
 void DeploymentModel::set_link_reliability(HostId a, HostId b,
@@ -363,18 +325,14 @@ void DeploymentModel::validate() const {
       throw std::invalid_argument(
           "DeploymentModel: negative component requirement (" + c.name + ")");
   }
-  const std::size_t k = hosts_.size();
-  for (std::size_t a = 0; a < k; ++a) {
-    for (std::size_t b = a + 1; b < k; ++b) {
-      const PhysicalLink& link = physical_[a * phys_dim_ + b];
-      if (link.reliability < 0.0 || link.reliability > 1.0)
-        throw std::invalid_argument(
-            "DeploymentModel: link reliability outside [0,1]");
-      if (link.bandwidth < 0.0 || link.delay_ms < 0.0)
-        throw std::invalid_argument(
-            "DeploymentModel: negative link bandwidth/delay");
-    }
-  }
+  for_each_physical_link([](HostId, HostId, const PhysicalLink& link) {
+    if (link.reliability < 0.0 || link.reliability > 1.0)
+      throw std::invalid_argument(
+          "DeploymentModel: link reliability outside [0,1]");
+    if (link.bandwidth < 0.0 || link.delay_ms < 0.0)
+      throw std::invalid_argument(
+          "DeploymentModel: negative link bandwidth/delay");
+  });
   for (const auto& [key, link] : logical_) {
     if (link.frequency < 0.0 || link.avg_event_size < 0.0)
       throw std::invalid_argument(

@@ -8,6 +8,7 @@
 // scenario (Section 5.1); everything else goes in per-entity PropertyMaps.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -98,37 +99,38 @@ struct ModelChange {
 };
 
 /// True when the model stores `link`: any of reliability, bandwidth or delay
-/// is not +0.0 (NaN and -0.0 count), or it carries properties. An entry that
+/// is not +0.0 (NaN and -0.0 count), or it carries properties. A link that
 /// is not stored is bit-for-bit the default all-zero PhysicalLink, which is
-/// what the matrix holds for a host pair that was never linked or was
-/// cleared; physical_neighbors() indexes exactly the stored entries.
+/// what a host pair that was never linked or was cleared reads as.
 [[nodiscard]] bool link_stored(const PhysicalLink& link) noexcept;
 
-/// Read-only view of the dense physical-link matrix for hot loops (the
+/// The all-zero link every host pair without a stored link reads as.
+inline const PhysicalLink kAbsentLink{};
+
+class DeploymentModel;
+
+/// Read-only view of the model's physical links for hot loops (the
 /// incremental evaluator's per-move term updates). `at(a, b)` matches
 /// physical_link(a, b) for a != b without the range checks or the
-/// disconnected-link canonicalization (absent links are stored all-zero, so
-/// reliability/bandwidth/delay read the same either way). Invalidated by
-/// add_host; callers hold it only across a model-stable hot section.
+/// disconnected-link canonicalization: a stored pair reads its entry, any
+/// other pair kAbsentLink, so reliability/bandwidth/delay read the same
+/// either way. Valid as long as the model it reads lives.
 struct PhysicalLinkTable {
-  const PhysicalLink* data = nullptr;
-  std::size_t dim = 0;  // row stride (matrix capacity, >= host count)
+  const DeploymentModel* model = nullptr;
 
-  [[nodiscard]] const PhysicalLink& at(HostId a, HostId b) const {
-    const auto lo = a < b ? a : b;
-    const auto hi = a < b ? b : a;
-    return data[static_cast<std::size_t>(lo) * dim + hi];
-  }
+  [[nodiscard]] const PhysicalLink& at(HostId a, HostId b) const;
 };
 
 /// The deployment-architecture model.
 ///
 /// Invariants:
-///  * physical and logical links are symmetric (stored canonically, a <= b);
+///  * physical and logical links are symmetric: a physical link is one
+///    entry reached from both hosts' rows, a logical link is stored under
+///    its canonical pair (a < b);
 ///  * self links are rejected (a local interaction needs no link; a host
 ///    is always perfectly connected to itself);
-///  * the physical matrix is kept sized to the current host count (with
-///    geometric spare capacity); logical links are stored sparsely.
+///  * both kinds of link are stored sparsely: a physical link exactly when
+///    link_stored() holds, so memory is O(k + links), not O(k^2).
 ///
 /// Not thread-safe; the framework owns it from a single (simulated) thread.
 class DeploymentModel {
@@ -139,11 +141,6 @@ class DeploymentModel {
 
   HostId add_host(Host host);
   ComponentId add_component(SoftwareComponent component);
-
-  /// Sizes the physical-link matrix for `n` hosts up front, so that adding
-  /// them one by one never regrows it (a regrowth holds the old and the new
-  /// matrix at once). Does not add hosts.
-  void reserve_hosts(std::size_t n);
 
   [[nodiscard]] std::size_t host_count() const noexcept {
     return hosts_.size();
@@ -194,22 +191,37 @@ class DeploymentModel {
 
   /// Link parameters between two hosts. For a == b returns the implicit
   /// perfect local link (reliability 1, infinite bandwidth, zero delay).
-  /// For unconnected pairs returns the all-zero disconnected link.
+  /// For unconnected pairs returns the all-zero disconnected link. The
+  /// reference stays valid across writes to stored links; a write that
+  /// inserts a link may move the stored entries.
   [[nodiscard]] const PhysicalLink& physical_link(HostId a, HostId b) const;
 
   /// True when a != b and a physical link with bandwidth > 0 exists.
   [[nodiscard]] bool connected(HostId a, HostId b) const;
 
   /// The hosts `h` has a stored physical link to (see link_stored), in
-  /// ascending id order: O(degree) instead of a k-entry matrix row. Built
-  /// lazily as a CSR index and rebuilt only after a write flips some pair
-  /// between stored and absent, so monitor updates to existing links keep
-  /// it. The span is invalidated by any such write and by add_host.
+  /// ascending id order: the store's row of `h`. Invalidated by add_host
+  /// and by a write that adds or removes a link, not by monitor updates.
   [[nodiscard]] std::span<const HostId> physical_neighbors(HostId h) const;
 
-  /// Raw dense-matrix view for hot loops; see PhysicalLinkTable.
+  /// Visits every stored physical link as visit(a, b, link) with a < b, in
+  /// ascending (a, b) order — O(k + stored links). `link` is the stored
+  /// entry, not canonicalized (see physical_link); connected pairs are the
+  /// ones with link.bandwidth > 0. `visit` may rewrite the link it is
+  /// given as long as every pair stays stored.
+  template <typename Visit>
+  void for_each_physical_link(Visit&& visit) const {
+    for (std::size_t a = 0; a < link_rows_.size(); ++a) {
+      const LinkRow& row = link_rows_[a];
+      const auto ha = static_cast<HostId>(a);
+      for (std::size_t i = row.lower(ha); i < row.peers.size(); ++i)
+        visit(ha, row.peers[i], links_[row.slots[i]]);
+    }
+  }
+
+  /// Unchecked view for hot loops; see PhysicalLinkTable.
   [[nodiscard]] PhysicalLinkTable physical_link_table() const noexcept {
-    return {physical_.data(), phys_dim_};
+    return {this};
   }
 
   /// Mutates a single field of an existing link (monitor update path).
@@ -275,25 +287,60 @@ class DeploymentModel {
   void validate() const;
 
  private:
-  [[nodiscard]] std::size_t phys_index(HostId a, HostId b) const;
+  friend struct PhysicalLinkTable;
+
+  /// One host's stored peers in ascending id order, each beside the slot
+  /// in links_ of the link to it.
+  struct LinkRow {
+    std::vector<HostId> peers;
+    std::vector<std::uint32_t> slots;
+
+    /// Position of `peer` (where it would go when absent). A binary search
+    /// whose halving step is a select, not a branch: the evaluator's probes
+    /// read links to unpredictable peers, and std::lower_bound's
+    /// mispredicted branches cost decide-1k about a quarter of its step time.
+    [[nodiscard]] std::size_t lower(HostId peer) const noexcept {
+      std::size_t n = peers.size();
+      if (n == 0) return 0;
+      std::size_t base = 0;
+      while (n > 1) {
+        const std::size_t half = n / 2;
+        base = peers[base + half] < peer ? base + half : base;
+        n -= half;
+      }
+      return base + (peers[base] < peer ? 1 : 0);
+    }
+    [[nodiscard]] bool holds(std::size_t i, HostId peer) const noexcept {
+      return i < peers.size() && peers[i] == peer;
+    }
+  };
+
+  /// The stored link of (a, b), or nullptr; ids are not range-checked.
+  [[nodiscard]] const PhysicalLink* find_link(HostId a,
+                                              HostId b) const noexcept {
+    const LinkRow& row = link_rows_[a];
+    const std::size_t i = row.lower(b);
+    return row.holds(i, b) ? &links_[row.slots[i]] : nullptr;
+  }
   [[nodiscard]] static std::uint64_t logi_key(ComponentId a, ComponentId b);
   void check_host(HostId id) const;
   void check_component(ComponentId id) const;
   void notify(const ModelChange& change);
-  /// Writes `update` into the stored entry of (a, b), marking the neighbor
-  /// index stale when the write flips the pair between stored and absent.
+  /// Applies `update` to the link of (a, b): in place when the pair is
+  /// stored, else to an all-zero link. The pair is inserted when the result
+  /// is stored and was not, and erased when it no longer is.
   template <typename Update>
   void write_link(HostId a, HostId b, Update&& update);
-  void grow_link_matrix(std::size_t dim);
-  void rebuild_neighbors() const;
 
   std::vector<Host> hosts_;
   std::vector<SoftwareComponent> components_;
-  /// Dense canonical-pair (a < b) storage, row-major with stride phys_dim_.
-  /// The capacity dimension grows geometrically so that adding k hosts one
-  /// by one costs amortized O(k^2) total, not O(k^3).
-  std::vector<PhysicalLink> physical_;
-  std::size_t phys_dim_ = 0;
+  /// Sparse physical links: each stored link's entry once in links_,
+  /// reached from the rows of both its hosts. Erased entries are reset to
+  /// all-zero and their slots reused (free_slots_). A dense k-by-k matrix
+  /// took 72 MiB at 1024 hosts, where links_ holds ~4k entries.
+  std::vector<LinkRow> link_rows_;
+  std::vector<PhysicalLink> links_;
+  std::vector<std::uint32_t> free_slots_;
   /// Sparse logical links keyed by canonical pair (lo << 32 | hi). Dense
   /// n-by-n storage was quadratic in components — multiple GB at the 10k+
   /// component fleet sizes bench_scalability sweeps — while real interaction
@@ -303,15 +350,15 @@ class DeploymentModel {
 
   mutable std::vector<Interaction> interactions_cache_;
   mutable bool interactions_dirty_ = true;
-  /// CSR host adjacency over the stored links: the neighbors of h are
-  /// neighbors_[neighbor_offsets_[h] .. neighbor_offsets_[h + 1]).
-  mutable std::vector<std::uint32_t> neighbor_offsets_;
-  mutable std::vector<HostId> neighbors_;
-  mutable bool neighbors_dirty_ = true;
 
   std::vector<std::pair<std::size_t, Listener>> listeners_;
   std::vector<std::pair<std::size_t, DetailListener>> detail_listeners_;
   std::size_t next_listener_id_ = 0;
 };
+
+inline const PhysicalLink& PhysicalLinkTable::at(HostId a, HostId b) const {
+  const PhysicalLink* link = model->find_link(a, b);
+  return link != nullptr ? *link : kAbsentLink;
+}
 
 }  // namespace dif::model

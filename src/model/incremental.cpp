@@ -10,20 +10,19 @@ namespace dif::model {
 namespace {
 
 /// The link lookup of a far move to host h: the table for the pair (h, from),
-/// and for every other pair the absent link, the default all-zero entry the
-/// matrix holds where no link is stored. The kernel calls it with the moving
-/// component's new host first and only for two distinct assigned hosts.
+/// and for every other pair kAbsentLink, which the table would return since
+/// the caller promises no link is stored there. The kernel calls it with the
+/// moving component's new host first and only for two distinct assigned
+/// hosts.
 struct FarLinks {
   PhysicalLinkTable table;
   HostId from = kNoHost;
 };
 
-const PhysicalLink kAbsentLink{};
-
 const PhysicalLink& link_between(const FarLinks& far, HostId h, HostId other) {
   if (other == far.from) return far.table.at(h, other);
-  DIF_ASSERT(!link_stored(far.table.at(h, other)),
-             "a far move may skip only absent links");
+  DIF_ASSERT(&far.table.at(h, other) == &kAbsentLink,
+             "a far move may skip only pairs the store does not hold");
   return kAbsentLink;
 }
 
@@ -102,7 +101,6 @@ std::optional<IncrementalEvaluator> IncrementalEvaluator::try_create(
 IncrementalEvaluator::IncrementalEvaluator(PairwiseDecomposition decomposition,
                                            const DeploymentModel& m)
     : decomposition_(decomposition),
-      model_(&m),
       links_(m.physical_link_table()),
       assignment_(m.component_count(), kNoHost) {
   const std::span<const Interaction> interactions = m.interactions();
@@ -190,9 +188,6 @@ void IncrementalEvaluator::move(ComponentId c, HostId h, const Links& links) {
 void IncrementalEvaluator::reset(const Deployment& d) {
   for (ComponentId c = 0; c < assignment_.size(); ++c)
     assignment_[c] = c < d.size() ? d.host_of(c) : kNoHost;
-  // Refresh the link table: reset() is the documented re-sync point after
-  // model changes (add_host invalidates the previous view).
-  links_ = model_->physical_link_table();
   trip_.members = 0;
   switch (decomposition_.kind_) {
     case TermKind::kAvailability:

@@ -186,7 +186,6 @@ class IncrementalEvaluator {
   void reset_terms();
 
   PairwiseDecomposition decomposition_;
-  const DeploymentModel* model_;
   PhysicalLinkTable links_;
   /// Structure-of-arrays copy of the interaction list: endpoint, frequency,
   /// and size columns stay in separate flat arrays so the hot loops stream

@@ -17,7 +17,7 @@ namespace dif::model {
 enum class TermKind { kAvailability, kLatency, kCommCost };
 
 /// Link lookups the kernel accepts: the model's range-checked accessor, or
-/// the unchecked dense table hot loops hold.
+/// the unchecked sparse view hot loops hold (a row search per lookup).
 inline const PhysicalLink& link_between(const DeploymentModel& m, HostId a,
                                         HostId b) {
   return m.physical_link(a, b);

@@ -27,17 +27,12 @@ SimNetwork SimNetwork::from_model(Simulator& simulator,
                                   const model::DeploymentModel& m,
                                   std::uint64_t seed) {
   SimNetwork net(simulator, m.host_count(), seed);
-  for (std::size_t a = 0; a < m.host_count(); ++a) {
-    for (std::size_t b = a + 1; b < m.host_count(); ++b) {
-      const model::PhysicalLink& link = m.physical_link(
-          static_cast<model::HostId>(a), static_cast<model::HostId>(b));
-      if (link.bandwidth > 0.0) {
-        net.set_link(static_cast<model::HostId>(a),
-                     static_cast<model::HostId>(b),
-                     {link.reliability, link.bandwidth, link.delay_ms, false});
-      }
-    }
-  }
+  m.for_each_physical_link([&](model::HostId a, model::HostId b,
+                               const model::PhysicalLink& link) {
+    if (link.bandwidth > 0.0)
+      net.set_link(a, b,
+                   {link.reliability, link.bandwidth, link.delay_ms, false});
+  });
   return net;
 }
 

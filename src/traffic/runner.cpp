@@ -94,8 +94,8 @@ RunResult run_traffic(const RunOptions& options) {
     std::size_t best_degree = 0;
     for (model::HostId h = 0; h < m.host_count(); ++h) {
       std::size_t degree = 0;
-      for (model::HostId o = 0; o < m.host_count(); ++o)
-        if (o != h && m.connected(h, o)) ++degree;
+      for (const model::HostId o : m.physical_neighbors(h))
+        if (m.connected(h, o)) ++degree;
       if (degree > best_degree) {
         best_degree = degree;
         fc.master_host = h;

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -212,18 +217,74 @@ bool stored_by_fields(const PhysicalLink& link) {
          nonzero(link.delay_ms) || !link.properties.empty();
 }
 
-/// The index must equal a brute-force scan of every host pair.
-void expect_index_matches_scan(const DeploymentModel& m, int step) {
+/// An independent reference for the link store: the stored links by
+/// canonical pair, kept by applying each write's documented semantics.
+struct Reference {
+  std::size_t hosts = 0;
+  std::map<std::pair<HostId, HostId>, PhysicalLink> links;
+
+  template <typename Update>
+  void write(HostId a, HostId b, Update&& update) {
+    const auto key = std::minmax(a, b);
+    const auto it = links.find(key);
+    PhysicalLink link = it == links.end() ? PhysicalLink{} : it->second;
+    update(link);
+    if (stored_by_fields(link))
+      links[key] = std::move(link);
+    else
+      links.erase(key);
+  }
+};
+
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+bool same_link(const PhysicalLink& x, const PhysicalLink& y) {
+  return same_bits(x.reliability, y.reliability) &&
+         same_bits(x.bandwidth, y.bandwidth) &&
+         same_bits(x.delay_ms, y.delay_ms) && x.properties == y.properties;
+}
+
+/// Every view of the store must agree with the reference: the per-host
+/// rows, the unchecked table, physical_link()'s canonicalization and the
+/// canonical-order walk.
+void expect_store_matches(const DeploymentModel& m, const Reference& ref,
+                          int step) {
+  ASSERT_EQ(m.host_count(), ref.hosts) << "after step " << step;
+  std::vector<std::vector<HostId>> rows(ref.hosts);
+  for (const auto& [key, link] : ref.links) {
+    rows[key.first].push_back(key.second);
+    rows[key.second].push_back(key.first);
+  }
   const PhysicalLinkTable table = m.physical_link_table();
   for (HostId h = 0; h < m.host_count(); ++h) {
-    std::vector<HostId> expected;
-    for (HostId other = 0; other < m.host_count(); ++other)
-      if (other != h && stored_by_fields(table.at(h, other)))
-        expected.push_back(other);
+    std::sort(rows[h].begin(), rows[h].end());
     const std::span<const HostId> got = m.physical_neighbors(h);
-    ASSERT_EQ(std::vector<HostId>(got.begin(), got.end()), expected)
+    ASSERT_EQ(std::vector<HostId>(got.begin(), got.end()), rows[h])
         << "host " << h << " after step " << step;
+    for (HostId other = 0; other < m.host_count(); ++other) {
+      if (other == h) continue;
+      const auto it = ref.links.find(std::minmax(h, other));
+      const PhysicalLink& expected =
+          it == ref.links.end() ? kAbsentLink : it->second;
+      ASSERT_TRUE(same_link(table.at(h, other), expected))
+          << "pair " << h << "," << other << " after step " << step;
+      const bool disconnected =
+          expected.bandwidth <= 0.0 && expected.reliability <= 0.0;
+      ASSERT_TRUE(same_link(m.physical_link(h, other),
+                            disconnected ? kAbsentLink : expected))
+          << "pair " << h << "," << other << " after step " << step;
+    }
   }
+  auto next = ref.links.begin();
+  m.for_each_physical_link([&](HostId a, HostId b, const PhysicalLink& link) {
+    ASSERT_NE(next, ref.links.end()) << "after step " << step;
+    EXPECT_EQ(std::make_pair(a, b), next->first) << "after step " << step;
+    EXPECT_TRUE(same_link(link, next->second)) << "after step " << step;
+    ++next;
+  });
+  EXPECT_EQ(next, ref.links.end()) << "after step " << step;
 }
 
 double draw_field(util::Xoshiro256ss& rng) {
@@ -233,71 +294,91 @@ double draw_field(util::Xoshiro256ss& rng) {
   return kValues[rng.index(std::size(kValues))];
 }
 
-/// One random write: whole links, single fields (zero <-> non-zero, NaN),
-/// clears, new hosts and reservations.
-void random_write(DeploymentModel& m, util::Xoshiro256ss& rng) {
+/// One random write to both the model and the reference: whole links,
+/// single fields (flipping pairs between stored and absent, NaN, -0.0),
+/// properties-only links, clears and new hosts.
+void random_write(DeploymentModel& m, Reference& ref,
+                  util::Xoshiro256ss& rng) {
   const std::size_t k = m.host_count();
   const auto a = static_cast<HostId>(rng.index(k));
   auto b = static_cast<HostId>(rng.index(k - 1));
   if (b >= a) ++b;
+  const auto set_field = [&](double PhysicalLink::*field) {
+    const double value = draw_field(rng);
+    ref.write(a, b, [&](PhysicalLink& link) { link.*field = value; });
+    return value;
+  };
   switch (rng.index(8)) {
     case 0: {
       PhysicalLink link = make_link(draw_field(rng), draw_field(rng),
                                     draw_field(rng));
       if (rng.chance(0.2)) link.properties.set("security", 1.0);
+      ref.write(a, b, [&](PhysicalLink& entry) { entry = link; });
       m.set_physical_link(a, b, std::move(link));
       break;
     }
     case 1:
-      m.set_link_reliability(a, b, draw_field(rng));
+      m.set_link_reliability(a, b, set_field(&PhysicalLink::reliability));
       break;
     case 2:
-      m.set_link_bandwidth(a, b, draw_field(rng));
+      m.set_link_bandwidth(a, b, set_field(&PhysicalLink::bandwidth));
       break;
     case 3:
-      m.set_link_delay(a, b, draw_field(rng));
+      m.set_link_delay(a, b, set_field(&PhysicalLink::delay_ms));
       break;
     case 4:
     case 5:
+      ref.write(a, b, [](PhysicalLink& entry) { entry = PhysicalLink{}; });
       m.clear_physical_link(a, b);
       break;
     case 6:
       m.add_host(named_host(test::numbered("x", k)));
+      ++ref.hosts;
       break;
-    default:
-      m.reserve_hosts(k + rng.index(6));
+    default: {
+      PhysicalLink link;  // all +0.0: stored for its properties alone
+      link.properties.set("cost", 2.0);
+      ref.write(a, b, [&](PhysicalLink& entry) { entry = link; });
+      m.set_physical_link(a, b, std::move(link));
       break;
+    }
   }
 }
 
-TEST(HostAdjacency, MatchesMatrixScanUnderRandomWrites) {
+DeploymentModel model_with_hosts(int hosts, Reference& ref) {
+  DeploymentModel m;
+  for (int h = 0; h < hosts; ++h)
+    m.add_host(named_host(test::numbered("h", h)));
+  ref.hosts = static_cast<std::size_t>(hosts);
+  return m;
+}
+
+TEST(HostAdjacency, MatchesReferenceMapUnderRandomWrites) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     util::Xoshiro256ss rng(seed);
-    DeploymentModel m;
-    for (int h = 0; h < 5; ++h) m.add_host(named_host(test::numbered("h", h)));
+    Reference ref;
+    DeploymentModel m = model_with_hosts(5, ref);
     for (int step = 0; step < 400; ++step) {
-      random_write(m, rng);
-      // Query only some of the time, so writes also pile up on a stale
-      // index before the next rebuild.
-      if (rng.chance(0.5)) expect_index_matches_scan(m, step);
+      random_write(m, ref, rng);
+      expect_store_matches(m, ref, step);
     }
-    expect_index_matches_scan(m, 400);
   }
 }
 
 TEST(HostAdjacency, CopiesKeepIndependentIndexes) {
   util::Xoshiro256ss rng(9);
-  DeploymentModel m;
-  for (int h = 0; h < 8; ++h) m.add_host(named_host(test::numbered("h", h)));
-  for (int step = 0; step < 60; ++step) random_write(m, rng);
-  expect_index_matches_scan(m, 0);
+  Reference ref;
+  DeploymentModel m = model_with_hosts(8, ref);
+  for (int step = 0; step < 60; ++step) random_write(m, ref, rng);
+  expect_store_matches(m, ref, 0);
   DeploymentModel copy = m;
-  expect_index_matches_scan(copy, 0);
+  Reference copy_ref = ref;
+  expect_store_matches(copy, copy_ref, 0);
   for (int step = 0; step < 60; ++step) {
-    random_write(copy, rng);
-    random_write(m, rng);
-    expect_index_matches_scan(copy, step);
-    expect_index_matches_scan(m, step);
+    random_write(copy, copy_ref, rng);
+    random_write(m, ref, rng);
+    expect_store_matches(copy, copy_ref, step);
+    expect_store_matches(m, ref, step);
   }
 }
 
@@ -321,23 +402,26 @@ TEST(HostAdjacency, NeighborsAreSortedAndSymmetric) {
   EXPECT_THROW((void)m.physical_neighbors(4), std::out_of_range);
 }
 
-TEST(HostAdjacency, ReservedMatrixDoesNotRegrow) {
-  DeploymentModel m;
-  m.reserve_hosts(40);
-  m.add_host(named_host("h0"));
-  const PhysicalLink* data = m.physical_link_table().data;
-  EXPECT_EQ(m.physical_link_table().dim, 40u);
-  for (int h = 1; h < 40; ++h) {
-    m.add_host(named_host(test::numbered("h", h)));
-    m.set_physical_link(static_cast<HostId>(h - 1), static_cast<HostId>(h),
-                        make_link(0.5, 1.0));
-  }
-  EXPECT_EQ(m.physical_link_table().data, data);
-  EXPECT_EQ(m.physical_link(0, 1).reliability, 0.5);
-  // Growing past the reservation regrows and keeps the links.
+TEST(HostAdjacency, LinkReferencesSurviveWritesToStoredLinks) {
+  Reference ref;
+  DeploymentModel m = model_with_hosts(40, ref);
+  for (HostId h = 1; h < 40; ++h)
+    m.set_physical_link(h - 1, h, make_link(0.5, 1.0));
+  const PhysicalLink& link = m.physical_link(0, 1);
+  // Monitor-style writes to every stored link, and a new host, move no
+  // stored entry.
+  for (HostId h = 1; h < 40; ++h) m.set_link_reliability(h - 1, h, 0.25);
   m.add_host(named_host("h40"));
+  EXPECT_EQ(&m.physical_link(0, 1), &link);
+  EXPECT_EQ(link.reliability, 0.25);
   EXPECT_EQ(m.physical_link(38, 39).bandwidth, 1.0);
-  expect_index_matches_scan(m, 0);
+  // Absent and cleared pairs read the one shared all-zero link.
+  EXPECT_EQ(&m.physical_link(0, 2), &kAbsentLink);
+  EXPECT_EQ(&m.physical_link_table().at(39, 40), &kAbsentLink);
+  m.clear_physical_link(0, 1);
+  EXPECT_EQ(&m.physical_link(0, 1), &kAbsentLink);
+  EXPECT_FALSE(m.connected(0, 1));
+  EXPECT_TRUE(m.physical_neighbors(0).empty());
 }
 
 }  // namespace

@@ -200,14 +200,12 @@ std::vector<model::ComponentId> fluctuate_one_host(Instance& inst) {
       break;
     }
   }
-  const auto links = m.physical_link_table();
-  for (std::size_t h = 0; h < m.host_count(); ++h) {
-    if (h == host) continue;
-    const model::PhysicalLink& link =
-        links.at(host, static_cast<model::HostId>(h));
-    if (link.reliability > 0.0)
-      m.set_link_reliability(host, static_cast<model::HostId>(h),
-                             link.reliability * 0.5);
+  // Rescaling a stored link's reliability leaves it stored, so the row
+  // stays valid while it is walked.
+  for (const model::HostId h : m.physical_neighbors(host)) {
+    const double reliability = m.physical_link(host, h).reliability;
+    if (reliability > 0.0)
+      m.set_link_reliability(host, h, reliability * 0.5);
   }
   return dirty;
 }

@@ -4,13 +4,17 @@
 //    two DistributionConnectors on a 2-host SimNetwork (serialize → send →
 //    deliver → deserialize → dispatch);
 //  * the hill climb's probe loop: a warm-started search allocates no more
-//    when it is allowed more evaluations.
+//    when it is allowed more evaluations;
+//  * the deployment model's heap at fleet scale: it holds the physical
+//    links that exist, not a k-by-k matrix.
 //
-// Wall-clock floors swing with the machine; allocation counts do not. This
-// binary replaces the global operator new with a counting one (the same
-// technique as perfbench's alloc_counter, kept as a separate copy so the
-// benchmark stays untouched) and pins the counts.
+// Wall-clock floors swing with the machine; allocation counts and heap
+// bytes do not. This binary replaces the global operator new with a
+// counting one (the same technique as perfbench's alloc_counter, kept as a
+// separate copy so the benchmark stays untouched) that also tracks the live
+// heap bytes, and pins the counts.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdint>
@@ -32,11 +36,23 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+/// Bytes of the blocks operator new handed out and delete has not freed
+/// (usable sizes, so a block counts what it really occupies).
+std::atomic<std::int64_t> g_live_bytes{0};
 
 void* counted(void* p) {
   if (p == nullptr) throw std::bad_alloc();
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
   return p;
+}
+
+void release(void* p) noexcept {
+  if (p != nullptr)
+    g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+  std::free(p);
 }
 
 void* counted_aligned(std::size_t size, std::align_val_t align) {
@@ -59,17 +75,17 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return counted_aligned(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace dif::prism {
@@ -221,3 +237,46 @@ TEST(SearchAllocs, WarmHillClimbAllocationsDoNotGrowWithEvaluations) {
 
 }  // namespace
 }  // namespace dif::algo
+
+namespace dif::model {
+namespace {
+
+// A 1024-host x 2048-component model at ~8 links per host (decide-1k's
+// size and density). A dense k-by-k link matrix alone took 72 MiB here;
+// the model holds the ~4k stored links instead. Measured with this test:
+// 1.9 MB for the whole model.
+constexpr std::int64_t kMaxFleetModelBytes = 8 << 20;
+
+TEST(ModelMemory, FleetModelHeapHoldsOnlyStoredLinks) {
+  constexpr std::size_t kHosts = 1024;
+  constexpr std::size_t kComponents = 2048;
+  const auto system = desi::Generator::generate(
+      {.hosts = kHosts,
+       .components = kComponents,
+       .regions = kHosts / 32,
+       .link_density = 8.0 / static_cast<double>(kHosts),
+       .interaction_density = 8.0 / static_cast<double>(kComponents)},
+      1);
+  // The heap a copy of the model takes is the model's own.
+  const std::int64_t before = g_live_bytes.load();
+  const DeploymentModel copy = system->model();
+  const std::int64_t bytes = g_live_bytes.load() - before;
+  ASSERT_EQ(copy.host_count(), kHosts);
+  RecordProperty("model_bytes", std::to_string(bytes));
+  EXPECT_LT(bytes, kMaxFleetModelBytes) << bytes << " heap bytes";
+
+  // Links that flip between absent and stored reuse their entry's slot:
+  // the heap does not grow with the number of flips.
+  DeploymentModel& m = system->model();
+  const auto flip = [&m] {
+    m.set_physical_link(0, kHosts - 1, {.reliability = 0.5, .bandwidth = 1.0});
+    m.clear_physical_link(0, kHosts - 1);
+  };
+  flip();  // the first flip sizes the rows and the free-slot list
+  const std::int64_t settled = g_live_bytes.load();
+  for (int i = 0; i < 1000; ++i) flip();
+  EXPECT_EQ(g_live_bytes.load(), settled);
+}
+
+}  // namespace
+}  // namespace dif::model
