@@ -185,49 +185,4 @@ PortfolioResult PortfolioRunner::run(const model::DeploymentModel& model,
   return result;
 }
 
-PortfolioAlgorithm::PortfolioAlgorithm(const AlgorithmRegistry& registry,
-                                       std::vector<std::string> names,
-                                       std::size_t threads)
-    : registry_(registry), names_(std::move(names)), threads_(threads) {
-  if (names_.empty()) names_ = default_portfolio_lineup();
-}
-
-AlgoResult PortfolioAlgorithm::run(const model::DeploymentModel& model,
-                                   const model::Objective& objective,
-                                   const model::ConstraintChecker& checker,
-                                   const AlgoOptions& options) {
-  PortfolioOptions popts;
-  popts.threads = threads_;
-  popts.deadline_seconds = options.time_budget_seconds;
-  popts.max_evaluations = options.max_evaluations;
-  popts.seed = options.seed;
-  popts.initial = options.initial;
-  popts.cancel = options.cancel;
-  popts.warm_start = options.warm_start;
-  popts.dirty_components = options.dirty_components;
-
-  PortfolioRunner runner(popts);
-  runner.add_from_registry(registry_, names_);
-  PortfolioResult portfolio = runner.run(model, objective, checker);
-
-  AlgoResult result = std::move(portfolio.best);
-  std::uint64_t evaluations = 0;
-  for (const AlgoResult& r : portfolio.runs) evaluations += r.evaluations;
-  const std::string winner =
-      portfolio.winner_index < portfolio.runs.size()
-          ? portfolio.runs[portfolio.winner_index].algorithm
-          : "none";
-  result.notes = "winner=" + winner +
-                 (portfolio.deadline_hit ? " deadline_hit" : "") +
-                 (result.notes.empty() ? "" : "; " + result.notes);
-  result.algorithm = std::string(name());
-  result.evaluations = evaluations;
-  result.elapsed = portfolio.elapsed;
-  result.budget_exhausted =
-      portfolio.deadline_hit ||
-      std::any_of(portfolio.runs.begin(), portfolio.runs.end(),
-                  [](const AlgoResult& r) { return r.budget_exhausted; });
-  return result;
-}
-
 }  // namespace dif::algo

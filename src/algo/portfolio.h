@@ -97,29 +97,4 @@ class PortfolioRunner {
 /// move-based searches — complementary strengths at equal wall-clock.
 [[nodiscard]] std::vector<std::string> default_portfolio_lineup();
 
-/// Adapter exposing a whole portfolio behind the Algorithm interface so the
-/// analyzer (or a registry user) can select "portfolio" like any other
-/// algorithm. AlgoOptions map naturally: time_budget_seconds becomes the
-/// common deadline, max_evaluations the per-entry cap, cancel the parent
-/// token.
-class PortfolioAlgorithm final : public Algorithm {
- public:
-  /// Races `names` out of `registry` on `threads` workers (0 = hardware
-  /// concurrency). The registry must outlive the adapter.
-  PortfolioAlgorithm(const AlgorithmRegistry& registry,
-                     std::vector<std::string> names, std::size_t threads = 0);
-
-  [[nodiscard]] std::string_view name() const override { return "portfolio"; }
-
-  [[nodiscard]] AlgoResult run(const model::DeploymentModel& model,
-                               const model::Objective& objective,
-                               const model::ConstraintChecker& checker,
-                               const AlgoOptions& options) override;
-
- private:
-  const AlgorithmRegistry& registry_;
-  std::vector<std::string> names_;
-  std::size_t threads_;
-};
-
 }  // namespace dif::algo

@@ -92,11 +92,8 @@ PlacementState::PlacementState(const model::DeploymentModel& model,
   free_cpu_.resize(k);
   for (std::size_t h = 0; h < k; ++h) {
     const model::Host& host = model.host(static_cast<model::HostId>(h));
-    free_memory_[h] =
-        checker.options().check_memory
-            ? host.memory_capacity
-            : std::numeric_limits<double>::infinity();
-    free_cpu_[h] = (checker.options().check_cpu && host.cpu_capacity > 0.0)
+    free_memory_[h] = host.memory_capacity;
+    free_cpu_[h] = host.cpu_capacity > 0.0
                        ? host.cpu_capacity
                        : std::numeric_limits<double>::infinity();
   }

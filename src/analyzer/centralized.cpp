@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "algo/portfolio.h"
 #include "check/preflight.h"
 #include "util/logging.h"
 
@@ -64,16 +63,8 @@ Decision CentralizedAnalyzer::analyze(
     options.dirty_components = *dirty;
     if (obs_.metrics) obs_.metrics->counter("analyzer.warm_analyses").add(1);
   }
-  std::unique_ptr<algo::Algorithm> algorithm;
-  if (decision.algorithm == "portfolio" && !registry_.contains("portfolio")) {
-    // Not a registry entry (the default registry stays portfolio-free so
-    // invoke_all-style sweeps do not recurse); resolved here instead.
-    algorithm = std::make_unique<algo::PortfolioAlgorithm>(
-        registry_, policy_.portfolio_lineup, policy_.portfolio_threads);
-    options.time_budget_seconds = policy_.portfolio_deadline_seconds;
-  } else {
-    algorithm = registry_.create(decision.algorithm);
-  }
+  const std::unique_ptr<algo::Algorithm> algorithm =
+      registry_.create(decision.algorithm);
   const auto algo_start = std::chrono::steady_clock::now();
   const algo::AlgoResult result =
       algorithm->run(m, objective, checker, options);

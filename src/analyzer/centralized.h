@@ -61,15 +61,6 @@ class CentralizedAnalyzer {
     bool enable_latency_guard = true;
     /// Evaluation cap handed to whichever algorithm runs (0 = unlimited).
     std::uint64_t max_evaluations = 0;
-    /// The name "portfolio" is accepted wherever an algorithm name goes
-    /// (stable/unstable slot, escalation rungs) even when the registry has
-    /// no such entry: the analyzer then races `portfolio_lineup` (empty =
-    /// algo::default_portfolio_lineup) on `portfolio_threads` workers
-    /// (0 = hardware concurrency) under `portfolio_deadline_seconds`
-    /// (0 = no deadline) and uses the best feasible result.
-    std::vector<std::string> portfolio_lineup;
-    std::size_t portfolio_threads = 0;
-    double portfolio_deadline_seconds = 0.0;
     /// Warm-start the algorithm run when the caller supplies a dirty set:
     /// the search then only revisits the neighbourhood of the changed
     /// components (AlgoOptions::warm_start). Without a dirty set the run is

@@ -87,40 +87,37 @@ CheckReport PlacementAuditor::audit(const AnalysisContext& ctx,
   }
 
   // Per-host capacity sums.
-  if (options_.check_memory || options_.check_cpu) {
-    std::vector<double> mem(k, 0.0), cpu(k, 0.0);
-    std::vector<std::vector<std::string>> residents(k);
-    for (std::size_t c = 0; c < covered; ++c) {
-      if (!placed[c]) continue;
-      const model::SoftwareComponent& comp =
-          m.component(static_cast<ComponentId>(c));
-      mem[where[c]] += comp.memory_size;
-      cpu[where[c]] += comp.cpu_load;
-      residents[where[c]].push_back(comp.name);
-    }
-    for (std::size_t h = 0; h < k; ++h) {
-      const model::Host& host = m.host(static_cast<HostId>(h));
-      if (options_.check_memory && mem[h] > host.memory_capacity)
-        report.add({Rule::kPlacementCapacity,
-                    Severity::kError,
-                    {ctx.host_subject(h)},
-                    "resident memory " + fmt(mem[h]) +
-                        " KB oversubscribes the host's " +
-                        fmt(host.memory_capacity) + " KB (" +
-                        std::to_string(residents[h].size()) + " components)",
-                    "move a resident elsewhere or grow the host",
-                    capped_names(residents[h], 8)});
-      if (options_.check_cpu && host.cpu_capacity > 0.0 &&
-          cpu[h] > host.cpu_capacity)
-        report.add({Rule::kPlacementCapacity,
-                    Severity::kError,
-                    {ctx.host_subject(h)},
-                    "resident CPU load " + fmt(cpu[h]) +
-                        " oversubscribes the host's capacity " +
-                        fmt(host.cpu_capacity),
-                    "move a resident elsewhere or grow the host's CPU",
-                    capped_names(residents[h], 8)});
-    }
+  std::vector<double> mem(k, 0.0), cpu(k, 0.0);
+  std::vector<std::vector<std::string>> residents(k);
+  for (std::size_t c = 0; c < covered; ++c) {
+    if (!placed[c]) continue;
+    const model::SoftwareComponent& comp =
+        m.component(static_cast<ComponentId>(c));
+    mem[where[c]] += comp.memory_size;
+    cpu[where[c]] += comp.cpu_load;
+    residents[where[c]].push_back(comp.name);
+  }
+  for (std::size_t h = 0; h < k; ++h) {
+    const model::Host& host = m.host(static_cast<HostId>(h));
+    if (mem[h] > host.memory_capacity)
+      report.add({Rule::kPlacementCapacity,
+                  Severity::kError,
+                  {ctx.host_subject(h)},
+                  "resident memory " + fmt(mem[h]) +
+                      " KB oversubscribes the host's " +
+                      fmt(host.memory_capacity) + " KB (" +
+                      std::to_string(residents[h].size()) + " components)",
+                  "move a resident elsewhere or grow the host",
+                  capped_names(residents[h], 8)});
+    if (host.cpu_capacity > 0.0 && cpu[h] > host.cpu_capacity)
+      report.add({Rule::kPlacementCapacity,
+                  Severity::kError,
+                  {ctx.host_subject(h)},
+                  "resident CPU load " + fmt(cpu[h]) +
+                      " oversubscribes the host's capacity " +
+                      fmt(host.cpu_capacity),
+                  "move a resident elsewhere or grow the host's CPU",
+                  capped_names(residents[h], 8)});
   }
 
   // Collocation closure classes must sit on one host each.

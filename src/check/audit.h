@@ -28,12 +28,10 @@ class Deployment;
 namespace dif::check {
 
 struct AuditOptions {
-  bool check_memory = true;
-  bool check_cpu = true;
   /// Bandwidth findings are advisory (warning severity): a mediated or
   /// oversubscribed link degrades service rather than invalidating the
-  /// placement, matching model::CheckerOptions::check_bandwidth being off
-  /// by default and the simulator's store-and-forward routing.
+  /// placement, matching model::ConstraintChecker, which does not check
+  /// bandwidth, and the simulator's store-and-forward routing.
   bool check_bandwidth = true;
 };
 

@@ -258,14 +258,13 @@ BestHost best_legal_host(const Ctx& ctx,
   return best;
 }
 
-void check_groups(Ctx& ctx, bool location_satisfiability,
-                  bool capacity_bounds) {
+void check_groups(Ctx& ctx) {
   if (ctx.k == 0) return;
   // Most groups may use every host; their best host is the all-hosts best,
   // computed once instead of per group.
   const BestHost best_of_all = best_legal_host(ctx, nullptr);
   // Global pigeonhole first: total footprint vs total capacity.
-  if (capacity_bounds && ctx.n > 0) {
+  if (ctx.n > 0) {
     double total_mem = 0.0, total_cap = 0.0;
     for (std::size_t c = 0; c < ctx.n; ++c)
       total_mem += ctx.m.component(static_cast<ComponentId>(c)).memory_size;
@@ -292,7 +291,7 @@ void check_groups(Ctx& ctx, bool location_satisfiability,
     const std::vector<std::uint64_t> common = ctx.a.allowed_intersection(group);
     const std::size_t legal_hosts = mask_count(common);
     if (legal_hosts == 0) {
-      if (location_satisfiability && group.size() > 1)
+      if (group.size() > 1)
         ctx.report.add({Rule::kGroupLocationUnsat,
                         Severity::kError,
                         {group_subjects(ctx, group)},
@@ -301,7 +300,6 @@ void check_groups(Ctx& ctx, bool location_satisfiability,
                         "align the group's location constraints"});
       continue;
     }
-    if (!capacity_bounds) continue;
 
     double group_mem = 0.0, group_cpu = 0.0;
     for (const std::size_t c : group) {
@@ -566,18 +564,13 @@ CheckReport StaticAnalyzer::analyze(const AnalysisContext& context) const {
           report,            context.components(),
           context.hosts()};
 
-  if (options_.dangling_references) check_dangling(ctx);
-  if (options_.parameter_ranges) check_param_ranges(ctx);
-  if (options_.location_satisfiability) check_location(ctx);
-  if (options_.colocation_consistency) check_colocation(ctx);
-
-  if ((options_.location_satisfiability || options_.capacity_bounds) &&
-      ctx.k > 0)
-    check_groups(ctx, options_.location_satisfiability,
-                 options_.capacity_bounds);
-
+  check_dangling(ctx);
+  check_param_ranges(ctx);
+  check_location(ctx);
+  check_colocation(ctx);
+  check_groups(ctx);
   if (options_.network_reachability) check_network(ctx);
-  if (options_.region_awareness) check_regions(ctx);
+  check_regions(ctx);
   if (options_.lints) check_lints(ctx);
   return report;
 }

@@ -50,19 +50,11 @@ class DeploymentModel;
 
 namespace dif::check {
 
-/// Per-rule toggles. Everything on by default; preflight_options() (see
-/// preflight.h) disables the rules that are legitimate transient states at
-/// run time (network partitions) and the advisory lints.
+/// Every rule runs by default. preflight_options() (see preflight.h) turns
+/// off the two that are legitimate transient states or advice at run time.
 struct CheckOptions {
-  bool dangling_references = true;
-  bool parameter_ranges = true;
-  bool location_satisfiability = true;
-  bool colocation_consistency = true;
-  bool capacity_bounds = true;
+  /// network-partition: an interaction no host pair can ever carry.
   bool network_reachability = true;
-  /// Region awareness (region-spof): inactive on models that declare fewer
-  /// than two regions, so untagged models are unaffected.
-  bool region_awareness = true;
   /// Warning-severity advisory rules (isolated-host, useless-host).
   bool lints = true;
 };

@@ -75,24 +75,10 @@ std::vector<std::uint64_t> allowed_host_masks(const ConstraintSet& set,
   return masks;
 }
 
-std::string_view to_string(Violation::Kind kind) noexcept {
-  switch (kind) {
-    case Violation::Kind::kUnassigned: return "unassigned";
-    case Violation::Kind::kLocation: return "location";
-    case Violation::Kind::kMemory: return "memory";
-    case Violation::Kind::kCpu: return "cpu";
-    case Violation::Kind::kColocationRequired: return "colocation-required";
-    case Violation::Kind::kColocationForbidden: return "colocation-forbidden";
-    case Violation::Kind::kBandwidth: return "bandwidth";
-  }
-  return "?";
-}
-
 ConstraintChecker::ConstraintChecker(const DeploymentModel& model,
-                                     const ConstraintSet& set, Options options)
+                                     const ConstraintSet& set)
     : model_(model),
       set_(set),
-      options_(options),
       words_per_row_((model.host_count() + 63) / 64) {
   if (model.host_count() == 0)
     throw std::invalid_argument("ConstraintChecker: no hosts");
@@ -112,10 +98,8 @@ double ConstraintChecker::host_free_memory(const Deployment& d,
 bool ConstraintChecker::placement_ok(const Deployment& d, ComponentId c,
                                      HostId h) const {
   if (!host_allowed(c, h)) return false;
-  if (options_.check_memory &&
-      model_.component(c).memory_size > host_free_memory(d, h))
-    return false;
-  if (options_.check_cpu && model_.host(h).cpu_capacity > 0.0) {
+  if (model_.component(c).memory_size > host_free_memory(d, h)) return false;
+  if (model_.host(h).cpu_capacity > 0.0) {
     double load = model_.component(c).cpu_load;
     for (std::size_t other = 0; other < d.size(); ++other)
       if (d.host_of(static_cast<ComponentId>(other)) == h)
@@ -132,155 +116,33 @@ bool ConstraintChecker::placement_ok(const Deployment& d, ComponentId c,
     if (other == c) continue;
     if (d.is_assigned(other) && d.host_of(other) == h) return false;
   }
-  if (options_.check_bandwidth) {
-    // Traffic the placement adds per remote host, then per affected link:
-    // already-routed traffic (excluding c's own interactions — c is the
-    // one being (re)placed) plus the new demand must fit the bandwidth.
-    const std::span<const Interaction> interactions = model_.interactions();
-    std::vector<double> added(model_.host_count(), 0.0);
-    for (const Interaction& ix : interactions) {
-      if (ix.a != c && ix.b != c) continue;
-      const ComponentId other = (ix.a == c) ? ix.b : ix.a;
-      if (!d.is_assigned(other)) continue;
-      const HostId oh = d.host_of(other);
-      if (oh != h && oh < added.size())
-        added[oh] += ix.frequency * ix.avg_event_size;
-    }
-    for (HostId oh = 0; oh < added.size(); ++oh) {
-      if (added[oh] <= 0.0) continue;
-      double load = added[oh];
-      for (const Interaction& ix : interactions) {
-        if (ix.a == c || ix.b == c) continue;
-        if (!d.is_assigned(ix.a) || !d.is_assigned(ix.b)) continue;
-        const HostId ha = d.host_of(ix.a), hb = d.host_of(ix.b);
-        if ((ha == h && hb == oh) || (ha == oh && hb == h))
-          load += ix.frequency * ix.avg_event_size;
-      }
-      if (load > model_.physical_link(h, oh).bandwidth) return false;
-    }
-  }
   return true;
 }
 
-void ConstraintChecker::collect(const Deployment& d,
-                                std::vector<Violation>* out,
-                                bool stop_at_first, bool* ok) const {
-  *ok = true;
-  const auto report = [&](Violation::Kind kind, std::string detail) {
-    *ok = false;
-    if (out) out->push_back({kind, std::move(detail)});
-  };
+bool ConstraintChecker::feasible(const Deployment& d) const {
   const std::size_t n = model_.component_count();
   const std::size_t k = model_.host_count();
-  if (d.size() != n) {
-    report(Violation::Kind::kUnassigned, "deployment size mismatch");
-    return;
-  }
-
+  if (d.size() != n) return false;
+  std::vector<double> mem(k, 0.0), cpu(k, 0.0);
   for (std::size_t c = 0; c < n; ++c) {
     const auto comp = static_cast<ComponentId>(c);
-    const HostId h = d.host_of(comp);
-    if (h == kNoHost) {
-      report(Violation::Kind::kUnassigned,
-             "component " + model_.component(comp).name + " unassigned");
-      if (stop_at_first) return;
-      continue;
-    }
-    if (h >= k) {
-      report(Violation::Kind::kLocation,
-             "component " + model_.component(comp).name + " on invalid host");
-      if (stop_at_first) return;
-      continue;
-    }
-    if (!host_allowed(comp, h)) {
-      report(Violation::Kind::kLocation,
-             "component " + model_.component(comp).name +
-                 " not allowed on host " + model_.host(h).name);
-      if (stop_at_first) return;
-    }
+    const HostId h = d.host_of(comp);  // kNoHost (unassigned) is >= k
+    if (h >= k || !host_allowed(comp, h)) return false;
+    mem[h] += model_.component(comp).memory_size;
+    cpu[h] += model_.component(comp).cpu_load;
   }
-
-  if (options_.check_memory || options_.check_cpu) {
-    std::vector<double> mem(k, 0.0), cpu(k, 0.0);
-    for (std::size_t c = 0; c < n; ++c) {
-      const HostId h = d.host_of(static_cast<ComponentId>(c));
-      if (h == kNoHost || h >= k) continue;
-      mem[h] += model_.component(static_cast<ComponentId>(c)).memory_size;
-      cpu[h] += model_.component(static_cast<ComponentId>(c)).cpu_load;
-    }
-    for (std::size_t h = 0; h < k; ++h) {
-      const Host& host = model_.host(static_cast<HostId>(h));
-      if (options_.check_memory && mem[h] > host.memory_capacity) {
-        report(Violation::Kind::kMemory,
-               "host " + host.name + " memory exceeded");
-        if (stop_at_first) return;
-      }
-      if (options_.check_cpu && host.cpu_capacity > 0.0 &&
-          cpu[h] > host.cpu_capacity) {
-        report(Violation::Kind::kCpu, "host " + host.name + " CPU exceeded");
-        if (stop_at_first) return;
-      }
-    }
+  for (std::size_t h = 0; h < k; ++h) {
+    const Host& host = model_.host(static_cast<HostId>(h));
+    if (mem[h] > host.memory_capacity) return false;
+    if (host.cpu_capacity > 0.0 && cpu[h] > host.cpu_capacity) return false;
   }
-
-  for (const auto& [a, b] : set_.colocation_pairs()) {
-    if (d.is_assigned(a) && d.is_assigned(b) && d.host_of(a) != d.host_of(b)) {
-      report(Violation::Kind::kColocationRequired,
-             model_.component(a).name + " and " + model_.component(b).name +
-                 " must be collocated");
-      if (stop_at_first) return;
-    }
-  }
-  for (const auto& [a, b] : set_.anti_colocation_pairs()) {
-    if (d.is_assigned(a) && d.is_assigned(b) && d.host_of(a) == d.host_of(b)) {
-      report(Violation::Kind::kColocationForbidden,
-             model_.component(a).name + " and " + model_.component(b).name +
-                 " must not be collocated");
-      if (stop_at_first) return;
-    }
-  }
-
-  if (options_.check_bandwidth) {
-    // Aggregate interaction traffic per physical link and compare with its
-    // bandwidth (KB/s of events vs KB/s capacity).
-    std::vector<double> traffic(k * k, 0.0);
-    for (const Interaction& ix : model_.interactions()) {
-      const HostId ha = d.host_of(ix.a), hb = d.host_of(ix.b);
-      if (ha == kNoHost || hb == kNoHost || ha == hb) continue;
-      const auto [lo, hi] = std::minmax(ha, hb);
-      traffic[static_cast<std::size_t>(lo) * k + hi] +=
-          ix.frequency * ix.avg_event_size;
-    }
-    for (std::size_t a = 0; a < k; ++a) {
-      for (std::size_t b = a + 1; b < k; ++b) {
-        const double load = traffic[a * k + b];
-        if (load <= 0.0) continue;
-        const PhysicalLink& link = model_.physical_link(
-            static_cast<HostId>(a), static_cast<HostId>(b));
-        if (load > link.bandwidth) {
-          report(Violation::Kind::kBandwidth,
-                 "link " + model_.host(static_cast<HostId>(a)).name + "--" +
-                     model_.host(static_cast<HostId>(b)).name +
-                     " bandwidth exceeded");
-          if (stop_at_first) return;
-        }
-      }
-    }
-  }
-}
-
-bool ConstraintChecker::feasible(const Deployment& d) const {
-  bool ok = false;
-  collect(d, nullptr, /*stop_at_first=*/true, &ok);
-  return ok;
-}
-
-std::vector<Violation> ConstraintChecker::violations(
-    const Deployment& d) const {
-  std::vector<Violation> out;
-  bool ok = false;
-  collect(d, &out, /*stop_at_first=*/false, &ok);
-  return out;
+  for (const auto& [a, b] : set_.colocation_pairs())
+    if (d.is_assigned(a) && d.is_assigned(b) && d.host_of(a) != d.host_of(b))
+      return false;
+  for (const auto& [a, b] : set_.anti_colocation_pairs())
+    if (d.is_assigned(a) && d.is_assigned(b) && d.host_of(a) == d.host_of(b))
+      return false;
+  return true;
 }
 
 }  // namespace dif::model

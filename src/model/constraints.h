@@ -2,11 +2,10 @@
 // these at design time (Section 3.1): location constraints (which hosts a
 // component may be deployed on) and collocation constraints (components that
 // must / must not share a host); the checker additionally enforces resource
-// constraints (host memory/CPU, link bandwidth) from the model.
+// constraints (host memory/CPU) from the model.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -82,66 +81,36 @@ class ConstraintSet {
 [[nodiscard]] std::vector<std::uint64_t> allowed_host_masks(
     const ConstraintSet& set, std::size_t components, std::size_t hosts);
 
-/// A single constraint violation, for diagnostics and DeSi display.
-struct Violation {
-  enum class Kind {
-    kUnassigned,
-    kLocation,
-    kMemory,
-    kCpu,
-    kColocationRequired,
-    kColocationForbidden,
-    kBandwidth,
-  };
-  Kind kind;
-  std::string detail;
-};
-
-[[nodiscard]] std::string_view to_string(Violation::Kind kind) noexcept;
-
 /// Compiled, model-bound constraint evaluator used by all algorithms.
 ///
 /// Compilation flattens the ConstraintSet into per-component host bitmasks so
-/// the hot path (`host_allowed`) is O(1). The checker also enforces resource
-/// constraints derived from the model: component memory vs host memory, CPU
-/// load vs CPU capacity (only for hosts that model CPU), and, optionally,
-/// interaction traffic vs physical link bandwidth.
-struct CheckerOptions {
-  bool check_memory = true;
-  bool check_cpu = true;
-  /// Off by default: the paper's Section 5 scenario constrains memory and
-  /// location/collocation only. When enabled, summed logical-link demand
-  /// (frequency * event size) per physical link is checked against the
-  /// link's bandwidth, both in full checks and in placement_ok.
-  bool check_bandwidth = false;
-};
-
+/// the hot path (`host_allowed`) is O(1). The checker also enforces the
+/// resource constraints the model carries: component memory vs host memory,
+/// and CPU load vs CPU capacity on hosts that model CPU. Link bandwidth is
+/// not a placement constraint here, as in the paper's Section 5 scenario;
+/// check::PlacementAuditor reports it as an advisory finding. The auditor
+/// checks the same placement rules and explains each violation.
 class ConstraintChecker {
  public:
-  using Options = CheckerOptions;
-
   /// The model and set must outlive the checker.
-  ConstraintChecker(const DeploymentModel& model, const ConstraintSet& set,
-                    Options options = Options());
+  ConstraintChecker(const DeploymentModel& model, const ConstraintSet& set);
 
   /// O(1): do location rules allow component `c` on host `h`?
   [[nodiscard]] bool host_allowed(ComponentId c, HostId h) const {
     return (allowed_masks_[c * words_per_row_ + h / 64] >> (h % 64)) & 1u;
   }
 
-  /// Full feasibility test for a complete deployment.
+  /// Full feasibility test for a complete deployment; stops at the first
+  /// violated rule.
   [[nodiscard]] bool feasible(const Deployment& d) const;
-
-  /// All violations (possibly empty) with human-readable details.
-  [[nodiscard]] std::vector<Violation> violations(const Deployment& d) const;
 
   /// Memory left on `h` under deployment `d` (may be negative if violated).
   [[nodiscard]] double host_free_memory(const Deployment& d, HostId h) const;
 
   /// Incremental check used by constructive algorithms: may `c` be placed on
   /// `h` given the (possibly partial) deployment `d`? Checks location,
-  /// memory/CPU headroom, collocation against already-placed components,
-  /// and (with check_bandwidth) link headroom for c's placed interactions.
+  /// memory/CPU headroom, and collocation against already-placed
+  /// components.
   [[nodiscard]] bool placement_ok(const Deployment& d, ComponentId c,
                                   HostId h) const;
 
@@ -151,15 +120,10 @@ class ConstraintChecker {
   [[nodiscard]] const ConstraintSet& constraint_set() const noexcept {
     return set_;
   }
-  [[nodiscard]] const Options& options() const noexcept { return options_; }
 
  private:
-  void collect(const Deployment& d, std::vector<Violation>* out,
-               bool stop_at_first, bool* ok) const;
-
   const DeploymentModel& model_;
   const ConstraintSet& set_;
-  Options options_;
   std::size_t words_per_row_;
   /// component-major bitmask matrix: bit h of row c == host h allowed for c.
   std::vector<std::uint64_t> allowed_masks_;

@@ -314,30 +314,4 @@ void DeploymentModel::notify(const ModelChange& change) {
   for (const auto& [id, listener] : detail_listeners_) listener(change);
 }
 
-void DeploymentModel::validate() const {
-  for (const Host& h : hosts_) {
-    if (h.memory_capacity < 0.0 || h.cpu_capacity < 0.0)
-      throw std::invalid_argument("DeploymentModel: negative host capacity (" +
-                                  h.name + ")");
-  }
-  for (const SoftwareComponent& c : components_) {
-    if (c.memory_size < 0.0 || c.cpu_load < 0.0)
-      throw std::invalid_argument(
-          "DeploymentModel: negative component requirement (" + c.name + ")");
-  }
-  for_each_physical_link([](HostId, HostId, const PhysicalLink& link) {
-    if (link.reliability < 0.0 || link.reliability > 1.0)
-      throw std::invalid_argument(
-          "DeploymentModel: link reliability outside [0,1]");
-    if (link.bandwidth < 0.0 || link.delay_ms < 0.0)
-      throw std::invalid_argument(
-          "DeploymentModel: negative link bandwidth/delay");
-  });
-  for (const auto& [key, link] : logical_) {
-    if (link.frequency < 0.0 || link.avg_event_size < 0.0)
-      throw std::invalid_argument(
-          "DeploymentModel: negative logical link parameter");
-  }
-}
-
 }  // namespace dif::model

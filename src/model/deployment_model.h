@@ -280,12 +280,6 @@ class DeploymentModel {
   /// (Host/SoftwareComponent references are mutable for Modifier's benefit).
   void notify_entity_changed();
 
-  // --- validation ---------------------------------------------------------
-
-  /// Throws std::invalid_argument when any stored parameter is out of range
-  /// (reliability outside [0,1], negative memory/frequency/bandwidth, ...).
-  void validate() const;
-
  private:
   friend struct PhysicalLinkTable;
 

@@ -144,6 +144,31 @@ TEST(AuditUnassigned, FlagsUnplacedComponentOnceNotTwice) {
   EXPECT_FALSE(report.has(Rule::kPlacementLocation));
 }
 
+// --- placement-bandwidth (advisory) ----------------------------------------
+
+TEST(AuditBandwidth, OversubscribedOrUnlinkedHostPairIsAWarning) {
+  DeploymentModel m = make_model(3, 2);
+  m.set_physical_link(0, 1, {.reliability = 1.0, .bandwidth = 5.0});
+  m.clear_physical_link(0, 2);
+  // 4 evt/s * 2 KB = 8 KB/s of traffic over a 5 KB/s link.
+  m.set_logical_link(0, 1, {.frequency = 4.0, .avg_event_size = 2.0});
+  for (const HostId far : {HostId{1}, HostId{2}}) {
+    const Deployment split(std::vector<HostId>{0, far});
+    const CheckReport report = PlacementAuditor().audit(m, {}, split);
+    const Diagnostic* diag = find_rule(report, Rule::kPlacementBandwidth);
+    ASSERT_NE(diag, nullptr) << "h0--h" << far;
+    EXPECT_EQ(diag->severity, Severity::kWarning);
+    EXPECT_TRUE(report.ok());  // advisory: the placement stays valid
+
+    AuditOptions options;
+    options.check_bandwidth = false;
+    EXPECT_TRUE(PlacementAuditor(options).audit(m, {}, split).clean());
+  }
+  // Local placement has no bandwidth footprint.
+  const Deployment local(std::vector<HostId>{0, 0});
+  EXPECT_TRUE(PlacementAuditor().audit(m, {}, local).clean());
+}
+
 // --- clean model -----------------------------------------------------------
 
 TEST(Audit, CleanModelIsAllGreen) {

@@ -83,11 +83,20 @@ TEST(CheckParamRange, FlagsOutOfDomainParameters) {
   DeploymentModel m = make_model(3, 2);
   m.set_physical_link(0, 1, {.reliability = 1.5, .bandwidth = 10.0});
   m.set_physical_link(1, 2, {.reliability = 0.9, .bandwidth = -4.0});
-  m.set_logical_link(0, 1, {.frequency = -1.0, .avg_event_size = 0.5});
+  m.set_physical_link(
+      0, 2, {.reliability = -0.2, .bandwidth = 10.0, .delay_ms = -1.0});
+  m.set_logical_link(0, 1, {.frequency = -1.0, .avg_event_size = -0.5});
   m.host(0).memory_capacity = -10.0;
+  m.host(1).cpu_capacity = -1.0;
+  m.host(2).memory_capacity = std::numeric_limits<double>::infinity();
+  m.component(0).memory_size = -3.0;
   m.component(1).cpu_load = std::nan("");
   const CheckReport report = run_checks(m, ConstraintSet());
-  EXPECT_GE(errors_of(report, Rule::kParamRange), 5u);
+  // One error per out-of-domain field: link reliability above and below
+  // [0, 1], negative bandwidth and delay, negative frequency and event
+  // size, negative host memory and CPU, infinite host memory, negative
+  // component memory, NaN CPU load.
+  EXPECT_EQ(errors_of(report, Rule::kParamRange), 11u);
 }
 
 TEST(CheckParamRange, SilentOnBoundaryValues) {
@@ -399,24 +408,12 @@ TEST(CheckRegionSpof, SilentWhenAllowListSpansRegions) {
   EXPECT_FALSE(report.has(Rule::kRegionSpof));
 }
 
-TEST(CheckRegionSpof, SilentOnUnzonedModelsAndWhenDisabled) {
+TEST(CheckRegionSpof, SilentOnUnzonedModels) {
   // No regions declared: the rule must not fire no matter the constraints.
   DeploymentModel flat = make_model(3, 2);
   ConstraintSet cs;
   cs.allow_only(0, {0, 1});
   EXPECT_FALSE(run_checks(flat, cs).has(Rule::kRegionSpof));
-
-  // Zoned and confined, but region awareness switched off.
-  DeploymentModel zoned = make_model(4, 2);
-  zoned.set_host_region(0, 0);
-  zoned.set_host_region(1, 0);
-  zoned.set_host_region(2, 1);
-  zoned.set_host_region(3, 1);
-  ConstraintSet confined;
-  confined.allow_only(0, {0, 1});
-  CheckOptions options;
-  options.region_awareness = false;
-  EXPECT_FALSE(run_checks(zoned, confined, options).has(Rule::kRegionSpof));
 }
 
 // --- golden diagnostics ----------------------------------------------------

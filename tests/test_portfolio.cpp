@@ -147,39 +147,5 @@ TEST(PortfolioRunner, MoreThreadsThanEntriesIsFine) {
   EXPECT_TRUE(inst.checker->feasible(result.best.deployment));
 }
 
-TEST(PortfolioAlgorithm, AdapterRacesLineupBehindAlgorithmInterface) {
-  Instance inst = make_instance(6);
-  const auto registry = AlgorithmRegistry::with_defaults();
-  PortfolioAlgorithm portfolio(registry, {}, /*threads=*/2);
-  EXPECT_EQ(portfolio.name(), "portfolio");
-
-  AlgoOptions options;
-  options.seed = 4;
-  options.max_evaluations = 3000;
-  options.initial = inst.system->deployment();
-  const AlgoResult result = portfolio.run(inst.system->model(), inst.objective,
-                                          *inst.checker, options);
-  ASSERT_TRUE(result.feasible);
-  EXPECT_TRUE(inst.checker->feasible(result.deployment));
-  EXPECT_EQ(result.algorithm, "portfolio");
-  EXPECT_NE(result.notes.find("winner="), std::string::npos);
-  // Winner quality can never be worse than the same-seed stochastic run.
-  AlgoOptions solo;
-  solo.seed = 4;
-  solo.max_evaluations = 3000;
-  solo.initial = inst.system->deployment();
-  const AlgoResult stochastic = registry.create("stochastic")
-                                    ->run(inst.system->model(), inst.objective,
-                                          *inst.checker, solo);
-  ASSERT_TRUE(stochastic.feasible);
-  EXPECT_FALSE(inst.objective.improves(stochastic.value, result.value));
-}
-
-/// The analyzer resolves the name "portfolio" without a registry entry.
-TEST(PortfolioAlgorithm, RegistryStaysPortfolioFree) {
-  const auto registry = AlgorithmRegistry::with_defaults();
-  EXPECT_FALSE(registry.contains("portfolio"));
-}
-
 }  // namespace
 }  // namespace dif::algo

@@ -2,8 +2,15 @@
 // must hold for every seed, wiring several modules together.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "algo/exact.h"
 #include "algo/registry.h"
+#include "check/audit.h"
 #include "desi/generator.h"
 #include "desi/xadl.h"
 #include "util/rng.h"
@@ -42,11 +49,107 @@ TEST_P(PropertyTest, EveryAlgorithmRespectsEveryConstraintKind) {
     const algo::AlgoResult result = registry.create(name)->run(
         system->model(), availability, checker, options);
     ASSERT_TRUE(result.feasible) << name << " seed " << GetParam();
-    const auto violations = checker.violations(result.deployment);
-    EXPECT_TRUE(violations.empty())
-        << name << " seed " << GetParam() << ": "
-        << (violations.empty() ? "" : violations.front().detail);
+    EXPECT_TRUE(checker.feasible(result.deployment))
+        << name << " seed " << GetParam() << ":\n"
+        << check::PlacementAuditor()
+               .audit(system->model(), system->constraints(),
+                      result.deployment)
+               .render_text();
   }
+}
+
+/// The checker the algorithms search with and the auditor that explains a
+/// placement hold one rule set: on every deployment, feasible() is true iff
+/// the auditor reports no error. The system carries every constraint kind.
+/// The deployments are the generator's feasible one, every
+/// single-component change of it (unassigned, a host id the model lacks,
+/// each other host) and random full placements, judged twice: with the
+/// generated capacities, and under capacity pressure, where each host has
+/// room for only a median component, in memory and in CPU, beyond what the
+/// feasible deployment puts on it. Each rule must be the only one broken by
+/// some deployment, so a checker that skipped any one rule would disagree
+/// with the auditor.
+TEST_P(PropertyTest, CheckerAgreesWithPlacementAuditor) {
+  desi::GeneratorSpec spec = constrained_spec();
+  spec.location_constraints = 5;
+  const auto system = desi::Generator::generate(spec, GetParam() + 700);
+  model::DeploymentModel& m = system->model();
+  const model::Deployment& base = system->deployment();
+  const std::size_t n = m.component_count();
+  const std::size_t k = m.host_count();
+
+  std::vector<model::Deployment> cases{base};
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto c = static_cast<model::ComponentId>(i);
+    cases.push_back(base);
+    cases.back().unassign(c);
+    for (std::size_t h = 0; h <= k; ++h) {  // h == k: not a model host
+      if (h == base.host_of(c)) continue;
+      cases.push_back(base);
+      cases.back().assign(c, static_cast<model::HostId>(h));
+    }
+  }
+  util::Xoshiro256ss rng(GetParam());
+  for (int trial = 0; trial < 100; ++trial) {
+    model::Deployment d(n);
+    for (std::size_t i = 0; i < n; ++i)
+      d.assign(static_cast<model::ComponentId>(i),
+               static_cast<model::HostId>(rng.index(k)));
+    cases.push_back(std::move(d));
+  }
+
+  std::set<std::string> alone;  // error kinds some deployment breaks alone
+  const auto judge_all = [&] {
+    const model::ConstraintChecker checker(m, system->constraints());
+    const check::AnalysisContext context(m, system->constraints());
+    EXPECT_TRUE(checker.feasible(base));
+    for (const model::Deployment& d : cases) {
+      const check::CheckReport report =
+          check::PlacementAuditor().audit(context, d);
+      EXPECT_EQ(checker.feasible(d), report.ok())
+          << "seed " << GetParam() << ", " << d.describe(m) << ":\n"
+          << report.render_text();
+      std::set<std::string> kinds;
+      for (const check::Diagnostic& diagnostic : report.diagnostics()) {
+        if (diagnostic.severity != check::Severity::kError) continue;
+        std::string kind(check::rule_id(diagnostic.rule));
+        if (diagnostic.rule == check::Rule::kPlacementCapacity)
+          kind += diagnostic.message.find("CPU") == std::string::npos
+                      ? "/memory"
+                      : "/cpu";
+        if (diagnostic.rule == check::Rule::kPlacementColocation)
+          kind += diagnostic.message.find("split") == std::string::npos
+                      ? "/separated"
+                      : "/split";
+        kinds.insert(kind);
+      }
+      if (kinds.size() == 1) alone.insert(*kinds.begin());
+    }
+  };
+  judge_all();
+
+  std::vector<double> memory(n), cpu(n), used_memory(k), used_cpu(k);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto c = static_cast<model::ComponentId>(i);
+    memory[i] = m.component(c).memory_size;
+    cpu[i] = m.component(c).cpu_load;
+    used_memory[base.host_of(c)] += memory[i];
+    used_cpu[base.host_of(c)] += cpu[i];
+  }
+  std::nth_element(memory.begin(), memory.begin() + n / 2, memory.end());
+  std::nth_element(cpu.begin(), cpu.begin() + n / 2, cpu.end());
+  for (std::size_t h = 0; h < k; ++h) {
+    model::Host& host = m.host(static_cast<model::HostId>(h));
+    host.memory_capacity = used_memory[h] + memory[n / 2];
+    host.cpu_capacity = used_cpu[h] + cpu[n / 2];
+  }
+  judge_all();
+
+  for (const char* kind :
+       {"placement-unassigned", "dangling-reference", "placement-location",
+        "placement-capacity/memory", "placement-capacity/cpu",
+        "placement-colocation/split", "placement-colocation/separated"})
+    EXPECT_TRUE(alone.count(kind)) << "seed " << GetParam() << ": " << kind;
 }
 
 TEST_P(PropertyTest, ObjectiveValuesStayInTheirRanges) {

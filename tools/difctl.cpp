@@ -7,7 +7,7 @@
 //
 //   difctl evaluate system.json
 //       Score the described deployment under every built-in objective and
-//       list any constraint violations.
+//       list the errors the placement audit finds. Exit 1 on any.
 //
 //   difctl improve system.json [--algorithm avala] [--objective availability]
 //       Run one algorithm (or, with --algorithm all, every applicable one),
@@ -112,7 +112,10 @@
 //       rolled back (informational), 1 on errors, 2 on usage errors.
 //       See docs/difctl.md for the full flag reference.
 #include <algorithm>
+#include <cerrno>
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -199,9 +202,28 @@ void write_json_file(const std::string& path, const util::json::Value& doc) {
   out << doc.dump(2) << '\n';
 }
 
+/// A malformed command line; main() prints it and exits 2.
+class UsageError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+/// `text` as a whole unsigned decimal number: no sign, no spaces, no
+/// trailing characters, no overflow. `flag` names the source in the error.
+std::uint64_t parse_u64(const std::string& flag, const std::string& text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end)
+    throw UsageError("--" + flag + ": expected an unsigned integer, got '" +
+                     text + "'");
+  return value;
+}
+
 /// Very small flag parser: --name [value] after the positional args. A
 /// flag followed by another --flag (or nothing) is a value-less boolean,
-/// so booleans and valued flags can be freely interleaved.
+/// so booleans and valued flags can be freely interleaved. A numeric
+/// flag's value must parse whole, or the getter throws UsageError.
 class Flags {
  public:
   Flags(int argc, char** argv, int first) {
@@ -225,7 +247,20 @@ class Flags {
   [[nodiscard]] std::uint64_t get_u64(const std::string& name,
                                       std::uint64_t dflt) const {
     const auto it = values_.find(name);
-    return it == values_.end() ? dflt : std::stoull(it->second);
+    return it == values_.end() ? dflt : parse_u64(name, it->second);
+  }
+  [[nodiscard]] double get_double(const std::string& name,
+                                  double dflt) const {
+    const auto it = values_.find(name);
+    if (it == values_.end()) return dflt;
+    const char* text = it->second.c_str();
+    char* stop = nullptr;
+    errno = 0;
+    const double value = std::strtod(text, &stop);
+    if (stop == text || *stop != '\0' || errno == ERANGE)
+      throw UsageError("--" + name + ": expected a number, got '" +
+                       it->second + "'");
+    return value;
   }
   [[nodiscard]] bool dot() const { return has("dot"); }
 
@@ -274,17 +309,19 @@ int cmd_evaluate(const std::string& path) {
     std::printf("%-14s %.4f\n", name,
                 objective->evaluate(m, system->deployment()));
   }
-  const model::ConstraintChecker checker(m, system->constraints());
-  const auto violations = checker.violations(system->deployment());
-  if (violations.empty()) {
+  // The placement rules are the auditor's; its advisory bandwidth findings
+  // stay with `audit`.
+  check::AuditOptions options;
+  options.check_bandwidth = false;
+  const check::CheckReport report = check::PlacementAuditor(options).audit(
+      m, system->constraints(), system->deployment());
+  if (report.ok()) {
     std::printf("constraints: all satisfied\n");
-  } else {
-    std::printf("constraints: %zu violations\n", violations.size());
-    for (const model::Violation& v : violations)
-      std::printf("  [%s] %s\n", std::string(to_string(v.kind)).c_str(),
-                  v.detail.c_str());
+    return 0;
   }
-  return violations.empty() ? 0 : 1;
+  std::printf("constraints: %zu violations\n%s", report.error_count(),
+              report.render_text().c_str());
+  return 1;
 }
 
 int cmd_improve(const std::string& path, const Flags& flags) {
@@ -345,8 +382,8 @@ int cmd_sweep(const std::string& path, const Flags& flags) {
   desi::SweepOptions options;
   options.steps = static_cast<int>(flags.get_u64("steps", 9));
   const auto points = analysis.sweep_link_reliability(
-      a, b, std::stod(flags.get("lo", "0.1")),
-      std::stod(flags.get("hi", "1.0")), *objective, options);
+      a, b, flags.get_double("lo", 0.1), flags.get_double("hi", 1.0),
+      *objective, options);
   std::printf("%s", desi::SensitivityAnalysis::render(
                         points, from + "--" + to + " reliability")
                         .c_str());
@@ -362,7 +399,7 @@ int cmd_portfolio(const std::string& path, const Flags& flags) {
 
   algo::PortfolioOptions options;
   options.threads = flags.get_u64("threads", 0);
-  options.deadline_seconds = std::stod(flags.get("deadline", "0"));
+  options.deadline_seconds = flags.get_double("deadline", 0);
   options.max_evaluations = flags.get_u64("max-evals", 0);
   options.seed = flags.get_u64("seed", 1);
   if (system->deployment().complete()) options.initial = system->deployment();
@@ -415,8 +452,7 @@ int cmd_simulate(const std::string& path, const Flags& flags) {
   const auto system = desi::XadlLite::from_text(read_file(path));
   const auto objective =
       make_objective(flags.get("objective", "availability"));
-  const double duration_ms =
-      std::stod(flags.get("duration-ms", "120000"));
+  const double duration_ms = flags.get_double("duration-ms", 120000);
 
   core::FrameworkConfig config;
   config.seed = flags.get_u64("seed", 1);
@@ -433,7 +469,7 @@ int cmd_simulate(const std::string& path, const Flags& flags) {
   if (instruments) inst.set_instruments(instruments);
 
   core::ImprovementLoop::Config loop_config;
-  loop_config.interval_ms = std::stod(flags.get("interval-ms", "5000"));
+  loop_config.interval_ms = flags.get_double("interval-ms", 5000);
   loop_config.adaptive_interval = flags.has("adaptive");
   loop_config.seed = config.seed;
   core::ImprovementLoop loop(inst, *objective, loop_config);
@@ -486,8 +522,8 @@ std::vector<std::uint64_t> parse_seeds(const std::string& text) {
   std::vector<std::uint64_t> seeds;
   const auto range = text.find("..");
   if (range != std::string::npos) {
-    const std::uint64_t lo = std::stoull(text.substr(0, range));
-    const std::uint64_t hi = std::stoull(text.substr(range + 2));
+    const std::uint64_t lo = parse_u64("seeds", text.substr(0, range));
+    const std::uint64_t hi = parse_u64("seeds", text.substr(range + 2));
     if (hi < lo)
       throw std::invalid_argument("empty seed range '" + text + "'");
     for (std::uint64_t s = lo; s <= hi; ++s) seeds.push_back(s);
@@ -495,7 +531,7 @@ std::vector<std::uint64_t> parse_seeds(const std::string& text) {
   }
   std::stringstream list(text);
   for (std::string item; std::getline(list, item, ',');)
-    if (!item.empty()) seeds.push_back(std::stoull(item));
+    if (!item.empty()) seeds.push_back(parse_u64("seeds", item));
   if (seeds.empty()) throw std::invalid_argument("no seeds in '" + text + "'");
   return seeds;
 }
@@ -507,19 +543,16 @@ void apply_campaign_flags(const Flags& flags, chaos::CampaignConfig& config) {
   config.generator.components =
       flags.get_u64("components", config.generator.components);
   if (flags.has("duration-ms"))
-    config.scenario.duration_ms = std::stod(flags.get("duration-ms", "0"));
+    config.scenario.duration_ms = flags.get_double("duration-ms", 0);
   if (flags.has("tolerance"))
-    config.availability_tolerance = std::stod(flags.get("tolerance", "0"));
+    config.availability_tolerance = flags.get_double("tolerance", 0);
   config.allow_partial = flags.has("allow-partial");
   if (flags.has("convergence-window-ms"))
-    config.convergence_window_ms =
-        std::stod(flags.get("convergence-window-ms", "0"));
+    config.convergence_window_ms = flags.get_double("convergence-window-ms", 0);
   if (flags.has("phi-suspect"))
-    config.heal.detector.phi_suspect =
-        std::stod(flags.get("phi-suspect", "0"));
+    config.heal.detector.phi_suspect = flags.get_double("phi-suspect", 0);
   if (flags.has("phi-condemn"))
-    config.heal.detector.phi_condemn =
-        std::stod(flags.get("phi-condemn", "0"));
+    config.heal.detector.phi_condemn = flags.get_double("phi-condemn", 0);
 }
 
 int cmd_campaign(const Flags& flags) {
@@ -665,10 +698,9 @@ int cmd_fuzz(const Flags& flags) {
   config.campaign.generator.components =
       flags.get_u64("components", config.campaign.generator.components);
   if (flags.has("duration-ms"))
-    config.campaign.scenario.duration_ms =
-        std::stod(flags.get("duration-ms", "0"));
+    config.campaign.scenario.duration_ms = flags.get_double("duration-ms", 0);
   if (flags.has("rate"))
-    config.policy.mutation_rate = std::stod(flags.get("rate", "0"));
+    config.policy.mutation_rate = flags.get_double("rate", 0);
 
   chaos::FuzzRunner runner(config);
   const chaos::FuzzReport report = runner.run();
@@ -822,7 +854,7 @@ int cmd_traffic(const Flags& flags) {
   opts.generator.hosts = flags.get_u64("hosts", 8);
   opts.generator.components = flags.get_u64("components", 24);
   opts.seed = flags.get_u64("seed", 1);
-  opts.duration_ms = std::stod(flags.get("duration-ms", "60000"));
+  opts.duration_ms = flags.get_double("duration-ms", 60000);
   opts.scenario = flags.get("scenario", "none");
   try {
     if (opts.scenario != "none")
@@ -834,19 +866,19 @@ int cmd_traffic(const Flags& flags) {
     std::fprintf(stderr, "difctl traffic: %s\n", e.what());
     return usage();
   }
-  opts.engine.rps = std::stod(flags.get("rps", "200"));
+  opts.engine.rps = flags.get_double("rps", 200);
   opts.engine.closed_users = flags.get_u64("users", 64);
-  opts.engine.think_ms = std::stod(flags.get("think-ms", "200"));
-  opts.ratekeeper.slo_p99_ms = std::stod(flags.get("slo-p99-ms", "250"));
+  opts.engine.think_ms = flags.get_double("think-ms", 200);
+  opts.ratekeeper.slo_p99_ms = flags.get_double("slo-p99-ms", 250);
   opts.ratekeeper.enabled = !flags.has("no-ratekeeper");
-  opts.redeploy_at_ms = std::stod(flags.get("redeploy-at-ms", "0"));
-  opts.redeploy_every_ms = std::stod(flags.get("redeploy-every-ms", "10000"));
+  opts.redeploy_at_ms = flags.get_double("redeploy-at-ms", 0);
+  opts.redeploy_every_ms = flags.get_double("redeploy-every-ms", 10000);
   opts.redeploy_moves = flags.get_u64("moves", 2);
   opts.recovery = flags.has("recovery");
   if (flags.has("phi-suspect"))
-    opts.heal.detector.phi_suspect = std::stod(flags.get("phi-suspect", "0"));
+    opts.heal.detector.phi_suspect = flags.get_double("phi-suspect", 0);
   if (flags.has("phi-condemn"))
-    opts.heal.detector.phi_condemn = std::stod(flags.get("phi-condemn", "0"));
+    opts.heal.detector.phi_condemn = flags.get_double("phi-condemn", 0);
 
   // Tenant tags: t0 is the heavy tenant (double weight); every budget is
   // 1.2x the fair share, so the noisy neighbour sits over budget while the
@@ -930,6 +962,9 @@ int main(int argc, char** argv) {
     if (command == "simulate")
       return cmd_simulate(path, Flags(argc, argv, 3));
     return usage();
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "difctl: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "difctl: %s\n", e.what());
     return 1;
